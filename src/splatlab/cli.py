@@ -13,43 +13,62 @@ import argparse
 import copy
 import json
 import sys
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import __version__
 from .errors import InternalConsistencyError, InvalidInputError
 from .fileio import load_cloud, save_cloud, save_grid, save_report
-from .geometry import BBox3D, CameraModel, front_camera, gen_lidar, gen_sphere, normalize_kitti, normalize_unit
+from .geometry import (FRONT_DISTANCE, FRONT_FILL, FRONT_RESOLUTION, BBox3D, CameraModel, front_camera,
+                       gen_lidar, gen_sphere, normalize_kitti, normalize_unit)
 from .gradcheck import run_all
-from .infotheory import compare_strategies
+from .infotheory import COVERAGE_TAU, ENTROPY_BINS, VALUE_RANGE, compare_strategies
 from .losses import arc_cd, chamfer, chamfer_l1, fidelity, fscore, mmd
 from .nnprims import counterfactual_ablate, grad_flow_probe
 from .splatting import FeatureGrid, SplatConfig, rasterize_hard, splat_forward
 
 DEFAULTS = {
+    # focal, principal, rotation and translation of None mean "as front_camera derives them"
     "camera": {
-        "height": 128,
-        "width": 128,
-        "distance": 3.0,
-        "fill": 0.85,
+        "height": FRONT_RESOLUTION[0],
+        "width": FRONT_RESOLUTION[1],
+        "distance": FRONT_DISTANCE,
+        "fill": FRONT_FILL,
         "focal": None,
         "principal": None,
         "rotation": None,
         "translation": None,
     },
-    "splat": {
-        "sigma": 4.0 / 3.0,
-        "radius": 4,
-        "eps_norm": 1e-8,
-        "eps_depth": 1e-6,
-        "depth_weighting": True,
-    },
+    "splat": asdict(SplatConfig()),
     "analysis": {
-        "bins": 256,
-        "tau": 1e-6,
-        "range_lo": 0.0,
-        "range_hi": 1.0,
+        "bins": ENTROPY_BINS,
+        "tau": COVERAGE_TAU,
+        "range_lo": VALUE_RANGE[0],
+        "range_hi": VALUE_RANGE[1],
     },
+}
+
+# config-file value types accepted per type of the default: JSON integers may set float keys and
+# a list may replace a derived (None) camera value; every other value must match its default's type
+_ACCEPTED_TYPES = {float: (int, float), type(None): (type(None), list)}
+
+# CLI flag -> (section, key, ...); a flag with several values fills several keys
+_FLAG_KEYS = {
+    "grid": ("camera", "height", "width"),
+    "distance": ("camera", "distance"),
+    "fill": ("camera", "fill"),
+    "focal": ("camera", "focal"),
+    "principal": ("camera", "principal"),
+    "translation": ("camera", "translation"),
+    "sigma": ("splat", "sigma"),
+    "radius": ("splat", "radius"),
+    "eps_norm": ("splat", "eps_norm"),
+    "eps_depth": ("splat", "eps_depth"),
+    "depth_weighting": ("splat", "depth_weighting"),
+    "bins": ("analysis", "bins"),
+    "tau": ("analysis", "tau"),
+    "value_range": ("analysis", "range_lo", "range_hi"),
 }
 
 
@@ -68,9 +87,13 @@ def _load_config_file(path) -> dict:
             raise InvalidInputError(f"{path}: unknown config section {section!r}")
         if not isinstance(values, dict):
             raise InvalidInputError(f"{path}: section {section!r} must be an object")
-        for key in values:
+        for key, value in values.items():
             if key not in DEFAULTS[section]:
                 raise InvalidInputError(f"{path}: unknown key {section}.{key}")
+            default = DEFAULTS[section][key]
+            if type(value) not in _ACCEPTED_TYPES.get(type(default), (type(default),)):
+                raise InvalidInputError(
+                    f"{path}: {section}.{key} cannot be {type(value).__name__} (default: {json.dumps(default)})")
     return raw
 
 
@@ -79,87 +102,37 @@ def _effective_config(args) -> dict:
     if getattr(args, "config", None):
         for section, values in _load_config_file(args.config).items():
             cfg[section].update(values)
-    cam = cfg["camera"]
-    if getattr(args, "grid", None) is not None:
-        cam["height"], cam["width"] = int(args.grid[0]), int(args.grid[1])
-    for flag, key in (("distance", "distance"), ("fill", "fill")):
+    for flag, (section, *keys) in _FLAG_KEYS.items():
         val = getattr(args, flag, None)
-        if val is not None:
-            cam[key] = float(val)
-    if getattr(args, "focal", None) is not None:
-        cam["focal"] = [float(v) for v in args.focal]
-    if getattr(args, "principal", None) is not None:
-        cam["principal"] = [float(v) for v in args.principal]
-    if getattr(args, "translation", None) is not None:
-        cam["translation"] = [float(v) for v in args.translation]
-    spl = cfg["splat"]
-    for flag in ("sigma", "eps_norm", "eps_depth"):
-        val = getattr(args, flag, None)
-        if val is not None:
-            spl[flag] = float(val)
-    if getattr(args, "radius", None) is not None:
-        spl["radius"] = int(args.radius)
-    if getattr(args, "depth_weighting", None) is not None:
-        spl["depth_weighting"] = args.depth_weighting == "on"
-    ana = cfg["analysis"]
-    if getattr(args, "bins", None) is not None:
-        ana["bins"] = int(args.bins)
-    if getattr(args, "tau", None) is not None:
-        ana["tau"] = float(args.tau)
-    if getattr(args, "value_range", None) is not None:
-        ana["range_lo"], ana["range_hi"] = (float(v) for v in args.value_range)
+        if val is None:
+            continue
+        if flag == "depth_weighting":
+            val = val == "on"
+        cfg[section].update(zip(keys, val if len(keys) > 1 else [val]))
     return cfg
 
 
 def _build_camera(cfg: dict) -> CameraModel:
     cam = cfg["camera"]
     base = front_camera((cam["height"], cam["width"]), cam["distance"], cam["fill"])
-    focal = tuple(cam["focal"]) if cam["focal"] is not None else base.focal
-    principal = tuple(cam["principal"]) if cam["principal"] is not None else base.principal
-    rotation = np.asarray(cam["rotation"], dtype=np.float64) if cam["rotation"] is not None else base.rotation
-    translation = (
-        np.asarray(cam["translation"], dtype=np.float64)
-        if cam["translation"] is not None
-        else base.translation
-    )
-    return CameraModel(
-        focal=focal,
-        principal=principal,
-        rotation=rotation,
-        translation=translation,
-        resolution=(cam["height"], cam["width"]),
-    )
+    derived = ("focal", "principal", "rotation", "translation")
+    return replace(base, **{key: cam[key] for key in derived if cam[key] is not None})
 
 
-def _build_splat(cfg: dict) -> SplatConfig:
-    s = cfg["splat"]
-    return SplatConfig(
-        sigma=s["sigma"],
-        radius=s["radius"],
-        eps_norm=s["eps_norm"],
-        eps_depth=s["eps_depth"],
-        depth_weighting=s["depth_weighting"],
-    )
-
-
-def _echo_config(cfg: dict, cam: CameraModel | None = None) -> dict:
-    echo = copy.deepcopy(cfg)
-    if cam is not None:
-        echo["camera"] = {
-            "focal": list(cam.focal),
-            "principal": list(cam.principal),
-            "rotation": cam.rotation.tolist(),
-            "translation": cam.translation.tolist(),
-            "resolution": list(cam.resolution),
-        }
-    return echo
-
-
-def _load_input(args):
+def _setup(args, splats: bool = True):
+    """Effective config, camera, SplatConfig (None unless ``splats``) and the input cloud."""
+    cfg = _effective_config(args)
+    cam = _build_camera(cfg)
+    scfg = SplatConfig(**cfg["splat"]) if splats else None
     cloud = load_cloud(args.input)
-    if not getattr(args, "no_normalize", False):
+    if not args.no_normalize:
         cloud = normalize_unit(cloud)
-    return cloud
+    return cfg, cam, scfg, cloud
+
+
+def _stamp(payload: dict, args, cfg: dict, cam: CameraModel) -> dict:
+    """The report payload plus the command, its input and the effective configuration."""
+    return dict(payload, command=args.cmd, input=args.input, config=dict(cfg, camera=cam.to_dict()))
 
 
 def _cmd_gen_synth(args) -> int:
@@ -173,36 +146,26 @@ def _cmd_gen_synth(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    cfg = _effective_config(args)
-    cam = _build_camera(cfg)
-    cloud = _load_input(args)
+    cfg, cam, _, cloud = _setup(args, splats=False)
     grid = rasterize_hard(cloud, cam, mode=args.mode)
     written = save_grid(grid, args.out, fmt="raw")
     if args.pgm:
         written += save_grid(grid, args.pgm, fmt="pgm")
     if args.report:
-        save_report(
-            {
-                "command": "project",
-                "mode": args.mode,
-                "input": args.input,
-                "empty": grid.empty,
-                "value_min": float(grid.data.min()),
-                "value_max": float(grid.data.max()),
-                "config": _echo_config(cfg, cam),
-            },
-            args.report,
-        )
+        report = {
+            "mode": args.mode,
+            "empty": grid.empty,
+            "value_min": float(grid.data.min()),
+            "value_max": float(grid.data.max()),
+        }
+        save_report(_stamp(report, args, cfg, cam), args.report)
         written.append(args.report)
     print("wrote " + " ".join(written))
     return 0
 
 
 def _cmd_splat(args) -> int:
-    cfg = _effective_config(args)
-    cam = _build_camera(cfg)
-    scfg = _build_splat(cfg)
-    cloud = _load_input(args)
+    cfg, cam, scfg, cloud = _setup(args)
     grid, aux = splat_forward(cloud, None, cam, scfg, semantics="ccm", sequential=args.sequential)
     written = save_grid(grid, args.out, fmt="raw")
     if args.weights:
@@ -210,28 +173,20 @@ def _cmd_splat(args) -> int:
     if args.pgm:
         written += save_grid(grid, args.pgm, fmt="pgm")
     if args.report:
-        save_report(
-            {
-                "command": "splat",
-                "input": args.input,
-                "empty": grid.empty,
-                "sequential": bool(args.sequential),
-                "weight_total": float(aux.weight_sum.sum()),
-                "config": _echo_config(cfg, cam),
-            },
-            args.report,
-        )
+        report = {
+            "empty": grid.empty,
+            "sequential": bool(args.sequential),
+            "weight_total": float(aux.weight_sum.sum()),
+        }
+        save_report(_stamp(report, args, cfg, cam), args.report)
         written.append(args.report)
     print("wrote " + " ".join(written))
     return 0
 
 
 def _cmd_analyze(args) -> int:
-    cfg = _effective_config(args)
-    cam = _build_camera(cfg)
-    scfg = _build_splat(cfg)
+    cfg, cam, scfg, cloud = _setup(args)
     ana = cfg["analysis"]
-    cloud = _load_input(args)
     comp = compare_strategies(
         cloud,
         cam,
@@ -257,8 +212,6 @@ def _cmd_analyze(args) -> int:
             fmt="pgm",
         )
     report = {
-        "command": "analyze",
-        "input": args.input,
         "hard": comp.hard.to_dict(),
         "soft": comp.soft.to_dict(),
         "coverage_ratio": comp.coverage_ratio,
@@ -269,10 +222,9 @@ def _cmd_analyze(args) -> int:
             ),
             "soft_cmit_gt_hard": bool(comp.soft.cmit > comp.hard.cmit),
         },
-        "config": _echo_config(cfg, cam),
     }
     report_path = f"{prefix}_report.json"
-    save_report(report, report_path)
+    save_report(_stamp(report, args, cfg, cam), report_path)
     written.append(report_path)
     print("wrote " + " ".join(written))
     return 0
@@ -293,16 +245,9 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    cfg = _effective_config(args)
-    cam = _build_camera(cfg)
-    scfg = _build_splat(cfg)
-    cloud = _load_input(args)
+    cfg, cam, scfg, cloud = _setup(args)
     report = grad_flow_probe(cloud, cam, scfg, args.mode, args.seed)
-    payload = report.to_dict()
-    payload["command"] = "probe"
-    payload["input"] = args.input
-    payload["config"] = _echo_config(cfg, cam)
-    save_report(payload, args.out)
+    save_report(_stamp(report.to_dict(), args, cfg, cam), args.out)
     print(f"wrote {args.out}")
     for key, val in sorted(report.summary.items()):
         print(f"{key}: {val}")
@@ -310,19 +255,12 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    cfg = _effective_config(args)
-    cam = _build_camera(cfg)
-    scfg = _build_splat(cfg)
-    cloud = _load_input(args)
+    cfg, cam, scfg, cloud = _setup(args)
     report = counterfactual_ablate(
         cloud, cam, scfg, seed=args.seed, k=args.k,
         geo_dim=args.geo_dim, proj_dim=args.proj_dim,
     )
-    payload = report.to_dict()
-    payload["command"] = "ablate"
-    payload["input"] = args.input
-    payload["config"] = _echo_config(cfg, cam)
-    save_report(payload, args.out)
+    save_report(_stamp(report.to_dict(), args, cfg, cam), args.out)
     print(f"wrote {args.out}")
     print(f"sensitivity: {report.sensitivity:.6g}")
     print(f"value_path_only: {report.value_path_only}")

@@ -28,6 +28,8 @@ from .splatting import (
 PMI_FLOOR = -30.0
 COVERAGE_TAU = 1e-6
 ENTROPY_BINS = 256
+# histogram range of CCM pseudo-color values
+VALUE_RANGE = (0.0, 1.0)
 
 
 @dataclass
@@ -96,7 +98,7 @@ def _hist_counts(vals: np.ndarray, bins: int, lo: float, hi: float) -> np.ndarra
 def channel_entropy(
     grid: FeatureGrid,
     bins: int = ENTROPY_BINS,
-    value_range: tuple[float, float] = (0.0, 1.0),
+    value_range: tuple[float, float] = VALUE_RANGE,
     foreground_only: bool = True,
 ) -> EntropyReport:
     """Sum of per-channel histogram entropies, in bits.
@@ -142,7 +144,7 @@ def cmit(
     grid: FeatureGrid,
     weights: FeatureGrid,
     bins: int = ENTROPY_BINS,
-    value_range: tuple[float, float] = (0.0, 1.0),
+    value_range: tuple[float, float] = VALUE_RANGE,
     tau: float = COVERAGE_TAU,
 ) -> float:
     """Channel-masked information throughput: foreground entropy times coverage."""
@@ -192,7 +194,7 @@ def compare_strategies(
     cam: CameraModel,
     cfg: SplatConfig,
     bins: int = ENTROPY_BINS,
-    value_range: tuple[float, float] = (0.0, 1.0),
+    value_range: tuple[float, float] = VALUE_RANGE,
     tau: float = COVERAGE_TAU,
 ) -> StrategyComparison:
     """Project the cloud hard and soft with identical settings and compare.
@@ -209,13 +211,7 @@ def compare_strategies(
 
     base_prov = {
         "splat": asdict(cfg),
-        "camera": {
-            "focal": list(cam.focal),
-            "principal": list(cam.principal),
-            "rotation": cam.rotation.tolist(),
-            "translation": cam.translation.tolist(),
-            "resolution": list(cam.resolution),
-        },
+        "camera": cam.to_dict(),
         "bins": bins,
         "value_range": list(value_range),
         "tau": tau,

@@ -243,16 +243,6 @@ def _masked_mean_loss(data: np.ndarray, mask: np.ndarray) -> float:
     return float((data * mask).sum() / mask.size)
 
 
-def _window_signature(u: np.ndarray, valid: np.ndarray, radius: int, h: int, w: int) -> list:
-    sig = []
-    for i in range(u.shape[0]):
-        if not valid[i]:
-            sig.append(None)
-            continue
-        sig.append((_window_bounds(u[i, 0], radius, w), _window_bounds(u[i, 1], radius, h)))
-    return sig
-
-
 def grad_flow_probe(cloud: PointCloud, cam: CameraModel, cfg: SplatConfig, mode: str, seed: int) -> ProbeReport:
     """Measure gradient flow through hard or soft projection.
 
@@ -322,10 +312,9 @@ def grad_flow_probe(cloud: PointCloud, cam: CameraModel, cfg: SplatConfig, mode:
                 moved = (np.floor(up[0]) != np.floor(u0[i])).any() or (
                     np.floor(um[0]) != np.floor(u0[i])).any()
             else:
-                sig0 = (_window_bounds(u0[i, 0], cfg.radius, w), _window_bounds(u0[i, 1], cfg.radius, h))
-                sigp = (_window_bounds(up[0, 0], cfg.radius, w), _window_bounds(up[0, 1], cfg.radius, h))
-                sigm = (_window_bounds(um[0, 0], cfg.radius, w), _window_bounds(um[0, 1], cfg.radius, h))
-                moved = sigp != sig0 or sigm != sig0
+                win0 = _window_bounds(u0[i], cfg.radius, h, w)
+                moved = (_window_bounds(up[0], cfg.radius, h, w) != win0
+                         or _window_bounds(um[0], cfg.radius, h, w) != win0)
             unstable[i, axis] = bool(moved)
 
     stable = ~unstable & valid0[:, None]

@@ -108,11 +108,6 @@ class SplatAux:
     config: SplatConfig
     camera: CameraModel
 
-    def contributors(self, row: int, col: int) -> tuple[np.ndarray, np.ndarray]:
-        """(point indices, weights) contributing to one pixel, ascending index."""
-        m = (self.contrib_row == row) & (self.contrib_col == col)
-        return self.contrib_point[m], self.contrib_weight[m]
-
     def weight_grid(self) -> FeatureGrid:
         return FeatureGrid(self.weight_sum[:, :, None].copy(), semantics="weightsum",
                            empty=bool(self.contrib_point.size == 0))
@@ -127,11 +122,26 @@ class GradientBundle:
     d_sigma: float | None = None
 
 
-def _window_bounds(coord: float, radius: int, size: int) -> tuple[int, int]:
-    # centers c+0.5 with |c+0.5-u| <= r  <=>  c in [u-r-0.5, u+r-0.5]
-    lo = int(math.ceil(coord - radius - 0.5))
-    hi = int(math.floor(coord + radius - 0.5))
-    return max(lo, 0), min(hi, size - 1)
+def _window_bounds(u_k, reach: float, h: int, w: int) -> tuple[int, int, int, int]:
+    """(c0, c1, r0, r1): the grid-clipped pixel window around u_k; empty when c0 > c1 or r0 > r1."""
+    ux, uy = u_k
+    # centers c+0.5 with |c+0.5-u| <= reach  <=>  c in [u-reach-0.5, u+reach-0.5]
+    return (max(math.ceil(ux - reach - 0.5), 0),
+            min(math.floor(ux + reach - 0.5), w - 1),
+            max(math.ceil(uy - reach - 0.5), 0),
+            min(math.floor(uy + reach - 0.5), h - 1))
+
+
+def _pixel_bins(u: np.ndarray, valid: np.ndarray, h: int, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hard binning: (idx, rows, cols) of the valid points whose floor(u) lands on the grid.
+
+    idx ascends. The grid test runs on the float coordinates (floor(u) >= 0 iff
+    u >= 0, floor(u) < w iff u < w), so far off-grid points are never cast.
+    """
+    idx = np.flatnonzero(valid & (u[:, 0] >= 0) & (u[:, 0] < w) & (u[:, 1] >= 0) & (u[:, 1] < h))
+    rows = np.floor(u[idx, 1]).astype(np.int64)
+    cols = np.floor(u[idx, 0]).astype(np.int64)
+    return idx, rows, cols
 
 
 def _check_feats(cloud: PointCloud, feats) -> np.ndarray:
@@ -175,8 +185,7 @@ def splat_forward(
 
     for k in np.flatnonzero(valid):
         ux, uy = u[k, 0], u[k, 1]
-        c0, c1 = _window_bounds(ux, cfg.radius, w)
-        r0, r1 = _window_bounds(uy, cfg.radius, h)
+        c0, c1, r0, r1 = _window_bounds(u[k], cfg.radius, h, w)
         if c0 > c1 or r0 > r1:
             continue
         depth_factor = 1.0 / (z[k] + cfg.eps_depth) if cfg.depth_weighting else 1.0
@@ -324,20 +333,15 @@ def _scatter_min_depth(points: np.ndarray, feats: np.ndarray, cam: CameraModel) 
     u, z, valid = project_points(cam, points)
     h, w = cam.resolution
     data = np.zeros((h, w, feats.shape[1]), dtype=np.float64)
-    cols = np.full(points.shape[0], -1, dtype=np.int64)
-    rows = np.full(points.shape[0], -1, dtype=np.int64)
-    cols[valid] = np.floor(u[valid, 0]).astype(np.int64)
-    rows[valid] = np.floor(u[valid, 1]).astype(np.int64)
-    inside = valid & (cols >= 0) & (cols < w) & (rows >= 0) & (rows < h)
-    idx = np.flatnonzero(inside)
+    idx, rows, cols = _pixel_bins(u, valid, h, w)
     if idx.size == 0:
         return data, True
-    pix = rows[idx] * w + cols[idx]
+    pix = rows * w + cols
     order = np.lexsort((idx, z[idx], pix))
     pix_sorted = pix[order]
     first = np.flatnonzero(np.concatenate(([True], pix_sorted[1:] != pix_sorted[:-1])))
-    winners = idx[order[first]]
-    data[rows[winners], cols[winners], :] = feats[winners]
+    winners = order[first]
+    data[rows[winners], cols[winners], :] = feats[idx[winners]]
     return data, False
 
 
@@ -364,27 +368,26 @@ def hard_hit_count(cloud: PointCloud, cam: CameraModel) -> FeatureGrid:
     u, z, valid = project_points(cam, cloud.points)
     h, w = cam.resolution
     counts = np.zeros((h, w), dtype=np.float64)
-    cols = np.floor(u[valid, 0]).astype(np.int64)
-    rows = np.floor(u[valid, 1]).astype(np.int64)
-    inside = (cols >= 0) & (cols < w) & (rows >= 0) & (rows < h)
-    np.add.at(counts, (rows[inside], cols[inside]), 1.0)
-    return FeatureGrid(counts[:, :, None], semantics="weightsum", empty=bool(inside.sum() == 0))
+    idx, rows, cols = _pixel_bins(u, valid, h, w)
+    np.add.at(counts, (rows, cols), 1.0)
+    return FeatureGrid(counts[:, :, None], semantics="weightsum", empty=bool(idx.size == 0))
 
 
 def _raw_density(cloud: PointCloud, cam: CameraModel, cfg: SplatConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Untruncated mixture over the full pixel grid; returns (field, u, valid)."""
+    """Untruncated mixture over the full pixel grid; returns (field, u, alpha) of the valid points."""
     u, z, valid = project_points(cam, cloud.points)
+    u = u[valid]
+    alpha = 1.0 / (z[valid] + cfg.eps_depth) if cfg.depth_weighting else np.ones(len(u))
     h, w = cam.resolution
     field = np.zeros((h, w), dtype=np.float64)
     inv_two_sigma2 = 1.0 / (2.0 * cfg.sigma * cfg.sigma)
     xs = np.arange(w) + 0.5
     ys = np.arange(h) + 0.5
-    for k in np.flatnonzero(valid):
-        alpha = 1.0 / (z[k] + cfg.eps_depth) if cfg.depth_weighting else 1.0
-        dx2 = (xs - u[k, 0]) ** 2
-        dy2 = (ys - u[k, 1]) ** 2
-        field += alpha * np.exp(-(dy2[:, None] + dx2[None, :]) * inv_two_sigma2)
-    return field, u, valid
+    for (ux, uy), a in zip(u, alpha):
+        dx2 = (xs - ux) ** 2
+        dy2 = (ys - uy) ** 2
+        field += a * np.exp(-(dy2[:, None] + dx2[None, :]) * inv_two_sigma2)
+    return field, u, alpha
 
 
 def soft_density_grid(cloud: PointCloud, cam: CameraModel, cfg: SplatConfig) -> FeatureGrid:
@@ -394,9 +397,9 @@ def soft_density_grid(cloud: PointCloud, cam: CameraModel, cfg: SplatConfig) -> 
     (unit pixel area) is 1. All points culled, or total mass underflowing to
     zero, yields a zero grid flagged empty.
     """
-    field, _, valid = _raw_density(cloud, cam, cfg)
+    field, _, alpha = _raw_density(cloud, cam, cfg)
     total = float(field.sum())
-    if not np.any(valid) or total <= 0.0:
+    if alpha.size == 0 or total <= 0.0:
         return FeatureGrid(np.zeros_like(field)[:, :, None], semantics="generic", empty=True)
     return FeatureGrid((field / total)[:, :, None], semantics="generic", empty=False)
 
@@ -411,14 +414,12 @@ def soft_density(cloud: PointCloud, cam: CameraModel, cfg: SplatConfig, q) -> fl
     qv = np.asarray(q, dtype=np.float64).reshape(-1)
     if qv.shape != (2,) or not np.all(np.isfinite(qv)):
         raise InvalidInputError("q must be a finite 2-vector")
-    field, u, valid = _raw_density(cloud, cam, cfg)
+    field, u, alpha = _raw_density(cloud, cam, cfg)
     total = float(field.sum())
-    if not np.any(valid) or total <= 0.0:
+    if alpha.size == 0 or total <= 0.0:
         return 0.0
-    _, z, _ = project_points(cam, cloud.points)
     inv_two_sigma2 = 1.0 / (2.0 * cfg.sigma * cfg.sigma)
-    alpha = 1.0 / (z[valid] + cfg.eps_depth) if cfg.depth_weighting else np.ones(int(valid.sum()))
-    d2 = ((u[valid] - qv) ** 2).sum(axis=1)
+    d2 = ((u - qv) ** 2).sum(axis=1)
     return float(np.sum(alpha * np.exp(-d2 * inv_two_sigma2))) / total
 
 
@@ -434,20 +435,15 @@ def support_measure(cloud: PointCloud, cam: CameraModel, cfg: SplatConfig, mode:
         raise InvalidInputError("mode must be 'hard' or 'soft'")
     u, z, valid = project_points(cam, cloud.points)
     h, w = cam.resolution
-    cols = np.floor(u[valid, 0]).astype(np.int64)
-    rows = np.floor(u[valid, 1]).astype(np.int64)
-    inside = (cols >= 0) & (cols < w) & (rows >= 0) & (rows < h)
+    _, rows, cols = _pixel_bins(u, valid, h, w)
     hard_mask = np.zeros((h, w), dtype=bool)
-    hard_mask[rows[inside], cols[inside]] = True
+    hard_mask[rows, cols] = True
     if mode == "hard":
         return float(hard_mask.sum())
     reach = 3.0 * cfg.sigma
     soft_mask = hard_mask.copy()
     for ux, uy in u[valid]:
-        c0 = max(int(math.ceil(ux - reach - 0.5)), 0)
-        c1 = min(int(math.floor(ux + reach - 0.5)), w - 1)
-        r0 = max(int(math.ceil(uy - reach - 0.5)), 0)
-        r1 = min(int(math.floor(uy + reach - 0.5)), h - 1)
+        c0, c1, r0, r1 = _window_bounds((ux, uy), reach, h, w)
         if c0 > c1 or r0 > r1:
             continue
         dx = (np.arange(c0, c1 + 1) + 0.5) - ux

@@ -1,13 +1,23 @@
 """CLI tests driven through in-process main() calls."""
 
 import json
+import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from splatlab import cli
 from splatlab.fileio import load_cloud, load_report, save_cloud
-from splatlab.geometry import PointCloud, gen_sphere
+from splatlab.geometry import PointCloud, front_camera, gen_sphere
+from splatlab.infotheory import COVERAGE_TAU, ENTROPY_BINS, VALUE_RANGE
+from splatlab.splatting import (
+    SplatConfig,
+    hard_hit_count,
+    rasterize_hard,
+    splat_forward,
+    support_measure,
+)
 
 
 @pytest.fixture
@@ -43,6 +53,11 @@ def test_default_sigma_echoed(cloud_path, tmp_path):
     cfg = load_report(report)["config"]
     assert cfg["splat"]["sigma"] == pytest.approx(4.0 / 3.0)
     assert cfg["splat"]["radius"] == 4
+    # every echoed default comes from the library, not from a CLI-side copy
+    assert cfg["splat"] == asdict(SplatConfig())
+    assert cfg["analysis"] == {"bins": ENTROPY_BINS, "tau": COVERAGE_TAU,
+                               "range_lo": VALUE_RANGE[0], "range_hi": VALUE_RANGE[1]}
+    assert cfg["camera"] == front_camera().to_dict()
 
 
 def test_config_file_overrides_default(cloud_path, tmp_path):
@@ -68,12 +83,21 @@ def test_flag_overrides_config_file(cloud_path, tmp_path):
     assert load_report(report)["config"]["splat"]["sigma"] == 0.75
 
 
-def test_unknown_config_key_rejected(cloud_path, tmp_path):
+def test_unknown_config_key_rejected(cloud_path, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"splat": {"sgma": 1.0}}))
-    rc = cli.main(["splat", "--input", cloud_path, "--config", str(cfg_path),
-                   "--out", str(tmp_path / "g.raw")])
-    assert rc == 2
+    for body in (
+        {"splat": {"sgma": 1.0}},
+        # known keys whose values have the wrong type or shape
+        {"camera": {"height": "abc"}},
+        {"splat": {"sigma": "1"}},
+        {"camera": {"distance": None}},
+        {"camera": {"focal": [1]}},
+    ):
+        cfg_path.write_text(json.dumps(body))
+        rc = cli.main(["splat", "--input", cloud_path, "--config", str(cfg_path),
+                       "--out", str(tmp_path / "g.raw")])
+        assert rc == 2, body
+        assert "error:" in capsys.readouterr().err, body
 
 
 def test_unknown_config_section_rejected(cloud_path, tmp_path):
@@ -271,3 +295,24 @@ def test_no_normalize_flag_respected(tmp_path):
                    "--report", report])
     assert rc == 0
     assert load_report(report)["empty"] is False
+
+
+def test_nonfinite_projection_is_culled(tmp_path):
+    # x = 1e307 at depth 0.5 projects to u = inf; it must be culled, not cast or overflowed
+    pts = np.array([[1e307, 0.0, -2.5], [0.1, 0.2, 0.0], [-0.3, 0.1, 0.2]])
+    feats = np.full((3, 3), 0.5)
+    cloud = PointCloud(pts, feats)
+    cam = front_camera((16, 16))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid, aux = splat_forward(cloud, None, cam, SplatConfig(), semantics="ccm")
+        assert aux.valid.tolist() == [False, True, True]
+        assert not grid.empty
+        assert support_measure(cloud, cam, SplatConfig(), "soft") > 0
+        assert not rasterize_hard(cloud, cam, mode="depth").empty
+        assert hard_hit_count(cloud, cam).data.sum() == 2.0
+        src = tmp_path / "far.xyz"
+        save_cloud(cloud, src)
+        rc = cli.main(["splat", "--input", str(src), "--no-normalize", "--grid", "16", "16",
+                       "--out", str(tmp_path / "g.raw")])
+    assert rc == 0
