@@ -13,6 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -47,6 +48,20 @@ def _finite_array(value, shape: tuple[int, ...], msg: str) -> np.ndarray:
     if arr.shape != shape or not np.all(np.isfinite(arr)):
         raise InvalidInputError(msg)
     return arr
+
+
+def _resolution(value) -> tuple[int, int]:
+    """(height, width) as ints; both entries must be integral numbers >= 1."""
+    try:
+        h, w = value
+        integral = all(isinstance(v, numbers.Real) and int(v) == v for v in (h, w))
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise InvalidInputError(f"resolution must be two integral numbers, got {value!r}")
+    if h < 1 or w < 1:
+        raise InvalidInputError("resolution must be at least 1x1")
+    return int(h), int(w)
 
 
 @dataclass
@@ -107,10 +122,7 @@ class CameraModel:
             raise InvalidInputError("rotation must be orthonormal within 1e-9")
         self.rotation = rot
         self.translation = _finite_array(self.translation, (3,), "translation must be a finite 3-vector")
-        h, w = (int(v) for v in self.resolution)
-        if h < 1 or w < 1:
-            raise InvalidInputError("resolution must be at least 1x1")
-        self.resolution = (h, w)
+        self.resolution = _resolution(self.resolution)
 
     @property
     def height(self) -> int:
@@ -362,7 +374,7 @@ def front_camera(
         raise InvalidInputError("distance must be > 1 to frame the unit ball")
     if not 0.0 < fill <= 1.0:
         raise InvalidInputError("fill must be in (0, 1]")
-    h, w = int(resolution[0]), int(resolution[1])
+    h, w = _resolution(resolution)
     f = fill * (min(h, w) / 2.0) * math.sqrt(distance * distance - 1.0)
     return CameraModel(
         focal=(f, f),

@@ -105,21 +105,13 @@ def check_splat(seed: int) -> float:
     _, aux = splat_forward(cloud, feats, cam, cfg)
     bundle = splat_backward(aux, cloud, feats, upstream, with_sigma=True)
 
-    def loss_points(p):
-        g, _ = splat_forward(PointCloud(p), feats, cam, cfg)
+    def loss_from(c=cloud, f=feats, sigma=cfg.sigma):
+        g, _ = splat_forward(c, f, cam, replace(cfg, sigma=sigma))
         return float((g.data * upstream).sum())
 
-    def loss_feats(f):
-        g, _ = splat_forward(cloud, f, cam, cfg)
-        return float((g.data * upstream).sum())
-
-    def loss_sigma(s):
-        g, _ = splat_forward(cloud, feats, cam, replace(cfg, sigma=float(s[()])))
-        return float((g.data * upstream).sum())
-
-    worst = err_ratio(bundle.d_points, central_fd(loss_points, cloud.points))
-    worst = max(worst, err_ratio(bundle.d_features, central_fd(loss_feats, feats)))
-    fd_sigma = central_fd(loss_sigma, np.array(cfg.sigma))
+    worst = err_ratio(bundle.d_points, central_fd(lambda p: loss_from(c=PointCloud(p)), cloud.points))
+    worst = max(worst, err_ratio(bundle.d_features, central_fd(lambda f: loss_from(f=f), feats)))
+    fd_sigma = central_fd(lambda s: loss_from(sigma=float(s[()])), np.array(cfg.sigma))
     worst = max(worst, err_ratio(np.array(bundle.d_sigma), fd_sigma))
     return worst
 
@@ -148,22 +140,14 @@ def check_edgeconv(seed: int) -> float:
     _, cache = edgeconv_forward(cloud, graph, params)
     d_points, d_params = edgeconv_backward(cache, upstream)
 
-    def loss_from(pts=None, w1=None, b1=None, w2=None, b2=None):
-        p = MlpParams(
-            w1 if w1 is not None else params.w1,
-            b1 if b1 is not None else params.b1,
-            w2 if w2 is not None else params.w2,
-            b2 if b2 is not None else params.b2,
-        )
-        c = PointCloud(pts) if pts is not None else cloud
+    def loss_from(c=cloud, p=params):
         t, _ = edgeconv_forward(c, graph, p)
         return float((t * upstream).sum())
 
-    worst = err_ratio(d_points, central_fd(lambda x: loss_from(pts=x), cloud.points))
-    worst = max(worst, err_ratio(d_params.w1, central_fd(lambda x: loss_from(w1=x), params.w1)))
-    worst = max(worst, err_ratio(d_params.b1, central_fd(lambda x: loss_from(b1=x), params.b1)))
-    worst = max(worst, err_ratio(d_params.w2, central_fd(lambda x: loss_from(w2=x), params.w2)))
-    worst = max(worst, err_ratio(d_params.b2, central_fd(lambda x: loss_from(b2=x), params.b2)))
+    worst = err_ratio(d_points, central_fd(lambda x: loss_from(c=PointCloud(x)), cloud.points))
+    for name in ("w1", "b1", "w2", "b2"):
+        fd = central_fd(lambda x: loss_from(p=replace(params, **{name: x})), getattr(params, name))
+        worst = max(worst, err_ratio(getattr(d_params, name), fd))
     return worst
 
 
@@ -175,20 +159,14 @@ def check_attention(seed: int) -> float:
     upstream = rng.standard_normal((5, 4))
     _, grads = cross_attention(geo, vis, params, upstream=upstream)
 
-    def loss_from(g=None, v=None, wq=None, wk=None, wv=None):
-        p = AttentionParams(
-            wq if wq is not None else params.w_q,
-            wk if wk is not None else params.w_k,
-            wv if wv is not None else params.w_v,
-        )
-        out = cross_attention(g if g is not None else geo, v if v is not None else vis, p)
-        return float((out * upstream).sum())
+    def loss_from(g=geo, v=vis, p=params):
+        return float((cross_attention(g, v, p) * upstream).sum())
 
     worst = err_ratio(grads.d_geo, central_fd(lambda x: loss_from(g=x), geo))
     worst = max(worst, err_ratio(grads.d_visual, central_fd(lambda x: loss_from(v=x), vis)))
-    worst = max(worst, err_ratio(grads.d_w_q, central_fd(lambda x: loss_from(wq=x), params.w_q)))
-    worst = max(worst, err_ratio(grads.d_w_k, central_fd(lambda x: loss_from(wk=x), params.w_k)))
-    worst = max(worst, err_ratio(grads.d_w_v, central_fd(lambda x: loss_from(wv=x), params.w_v)))
+    for name in ("w_q", "w_k", "w_v"):
+        fd = central_fd(lambda x: loss_from(p=replace(params, **{name: x})), getattr(params, name))
+        worst = max(worst, err_ratio(getattr(grads, "d_" + name), fd))
     return worst
 
 

@@ -308,14 +308,10 @@ def grad_flow_probe(cloud: PointCloud, cam: CameraModel, cfg: SplatConfig, mode:
             if not (vp[0] and vm[0]):
                 unstable[i, axis] = True
                 continue
-            if mode == "hard":
-                moved = (np.floor(up[0]) != np.floor(u0[i])).any() or (
-                    np.floor(um[0]) != np.floor(u0[i])).any()
-            else:
-                win0 = _window_bounds(u0[i], cfg.radius, h, w)
-                moved = (_window_bounds(up[0], cfg.radius, h, w) != win0
-                         or _window_bounds(um[0], cfg.radius, h, w) != win0)
-            unstable[i, axis] = bool(moved)
+            # the step is stable when the pixel bin (hard) or the window (soft) stays put
+            trio = np.stack([u0[i], up[0], um[0]])
+            cells = np.floor(trio) if mode == "hard" else np.hstack(_window_bounds(trio, cfg.radius, h, w))
+            unstable[i, axis] = bool((cells != cells[0]).any())
 
     stable = ~unstable & valid0[:, None]
     summary: dict = {

@@ -92,19 +92,20 @@ class FeatureGrid:
 class SplatAux:
     """Forward-pass bookkeeping needed by splat_backward.
 
-    The contrib_* arrays hold one row per (point, pixel) contribution, ordered
-    by point index then window position; ``weight_sum`` is the per-pixel sum of
-    contributor weights.
+    The contrib_* arrays hold one entry per (point, pixel) contribution, ordered
+    by point index, then window row, then window column; ``contrib_pixel`` is
+    the row-major pixel id (row * width + col). ``weight_sum`` is the per-pixel
+    sum of contributor weights and ``value`` the normalized (H, W, C) grid.
     """
 
     u: np.ndarray
     z: np.ndarray
     valid: np.ndarray
     contrib_point: np.ndarray
-    contrib_row: np.ndarray
-    contrib_col: np.ndarray
+    contrib_pixel: np.ndarray
     contrib_weight: np.ndarray
     weight_sum: np.ndarray
+    value: np.ndarray
     config: SplatConfig
     camera: CameraModel
 
@@ -122,26 +123,53 @@ class GradientBundle:
     d_sigma: float | None = None
 
 
-def _window_bounds(u_k, reach: float, h: int, w: int) -> tuple[int, int, int, int]:
-    """(c0, c1, r0, r1): the grid-clipped pixel window around u_k; empty when c0 > c1 or r0 > r1."""
-    ux, uy = u_k
+def _window_bounds(u: np.ndarray, reach: float, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi): per row of the (n, 2) u, the float (col, row) corners of its grid-clipped window.
+
+    A window is empty when lo > hi on either axis.
+    """
     # centers c+0.5 with |c+0.5-u| <= reach  <=>  c in [u-reach-0.5, u+reach-0.5]
-    return (max(math.ceil(ux - reach - 0.5), 0),
-            min(math.floor(ux + reach - 0.5), w - 1),
-            max(math.ceil(uy - reach - 0.5), 0),
-            min(math.floor(uy + reach - 0.5), h - 1))
+    lo = np.maximum(np.ceil(u - reach - 0.5), 0.0)
+    hi = np.minimum(np.floor(u + reach - 0.5), [w - 1, h - 1])
+    return lo, hi
 
 
-def _pixel_bins(u: np.ndarray, valid: np.ndarray, h: int, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hard binning: (idx, rows, cols) of the valid points whose floor(u) lands on the grid.
+def _window_cells(u: np.ndarray, reach: float, h: int, w: int) -> tuple[np.ndarray, ...]:
+    """Every grid cell of every non-empty window around the rows of u, flattened.
 
-    idx ascends. The grid test runs on the float coordinates (floor(u) >= 0 iff
-    u >= 0, floor(u) < w iff u < w), so far off-grid points are never cast.
+    Returns (point, pixel, dx, dy) in (point, window row, window column) order:
+    the row of u, the row-major pixel id and the offsets (cell center - u).
+    The windows are built as one dense (n, rows, cols) block sized by the
+    widest window and masked to each window's own extent.
+    """
+    lo, hi = _window_bounds(u, reach, h, w)
+    # dropping empty windows first keeps a finite but huge u from being cast
+    keep = np.flatnonzero((lo <= hi).all(axis=1))
+    u = u[keep]
+    lo = lo[keep].astype(np.int64)
+    hi = hi[keep].astype(np.int64)
+    width, height = (hi - lo).max(axis=0, initial=0) + 1
+    cols = lo[:, 0:1] + np.arange(width)
+    rows = lo[:, 1:2] + np.arange(height)
+    inside = (rows <= hi[:, 1:2])[:, :, None] & (cols <= hi[:, 0:1])[:, None, :]
+    point = np.broadcast_to(keep[:, None, None], inside.shape)[inside]
+    pixel = (rows[:, :, None] * w + cols[:, None, :])[inside]
+    dx = np.broadcast_to(((cols + 0.5) - u[:, 0:1])[:, None, :], inside.shape)[inside]
+    dy = np.broadcast_to(((rows + 0.5) - u[:, 1:2])[:, :, None], inside.shape)[inside]
+    return point, pixel, dx, dy
+
+
+def _pixel_bins(u: np.ndarray, valid: np.ndarray, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hard binning: (idx, pixel) of the valid points whose floor(u) lands on the grid.
+
+    idx ascends and pixel is the row-major id floor(u_y) * w + floor(u_x). The
+    grid test runs on the float coordinates (floor(u) >= 0 iff u >= 0,
+    floor(u) < w iff u < w), so far off-grid points are never cast.
     """
     idx = np.flatnonzero(valid & (u[:, 0] >= 0) & (u[:, 0] < w) & (u[:, 1] >= 0) & (u[:, 1] < h))
     rows = np.floor(u[idx, 1]).astype(np.int64)
     cols = np.floor(u[idx, 0]).astype(np.int64)
-    return idx, rows, cols
+    return idx, rows * w + cols
 
 
 def _check_feats(cloud: PointCloud, feats) -> np.ndarray:
@@ -176,66 +204,37 @@ def splat_forward(
     c = feats.shape[1]
     inv_two_sigma2 = 1.0 / (2.0 * cfg.sigma * cfg.sigma)
 
-    num = np.zeros((h, w, c), dtype=np.float64)
-    den = np.zeros((h, w), dtype=np.float64)
-    cp: list[np.ndarray] = []
-    cr: list[np.ndarray] = []
-    cc: list[np.ndarray] = []
-    cw: list[np.ndarray] = []
+    vis = np.flatnonzero(valid)
+    k, pixel, dx, dy = _window_cells(u[vis], cfg.radius, h, w)
+    point = vis[k]
+    weight = np.exp(-(dy ** 2 + dx ** 2) * inv_two_sigma2)
+    if cfg.depth_weighting:
+        weight *= (1.0 / (z[vis] + cfg.eps_depth))[k]
 
-    for k in np.flatnonzero(valid):
-        ux, uy = u[k, 0], u[k, 1]
-        c0, c1, r0, r1 = _window_bounds(u[k], cfg.radius, h, w)
-        if c0 > c1 or r0 > r1:
-            continue
-        depth_factor = 1.0 / (z[k] + cfg.eps_depth) if cfg.depth_weighting else 1.0
-        cols1 = np.arange(c0, c1 + 1)
-        rows1 = np.arange(r0, r1 + 1)
-        dx = (cols1 + 0.5) - ux
-        dy = (rows1 + 0.5) - uy
-        # weights are computed identically in both modes; only the accumulation
-        # across cells differs, and each cell sees one add per point either way
-        win2 = np.exp(-(dy[:, None] ** 2 + dx[None, :] ** 2) * inv_two_sigma2) * depth_factor
-        if sequential:
-            for i, r in enumerate(rows1):
-                for j, col in enumerate(cols1):
-                    wgt = win2[i, j]
-                    den[r, col] += wgt
-                    for ch in range(c):
-                        num[r, col, ch] += wgt * feats[k, ch]
-        else:
-            den[r0 : r1 + 1, c0 : c1 + 1] += win2
-            num[r0 : r1 + 1, c0 : c1 + 1, :] += win2[:, :, None] * feats[k]
-        rows = np.repeat(rows1, cols1.size)
-        cols = np.tile(cols1, rows1.size)
-        win = win2.ravel()
-        cp.append(np.full(win.size, k, dtype=np.int64))
-        cr.append(rows)
-        cc.append(cols)
-        cw.append(win)
+    # every pixel sums its contributions in list order, i.e. ascending point index
+    if sequential:
+        den = np.zeros(h * w, dtype=np.float64)
+        num = np.zeros((h * w, c), dtype=np.float64)
+        for p, pix, wgt in zip(point, pixel, weight):
+            den[pix] += wgt
+            for ch in range(c):
+                num[pix, ch] += wgt * feats[p, ch]
+    else:
+        den = np.bincount(pixel, weights=weight, minlength=h * w)
+        num = np.stack([np.bincount(pixel, weights=weight * feats[point, ch], minlength=h * w)
+                        for ch in range(c)], axis=1)
+    den = den.reshape(h, w)
 
     if not np.all(np.isfinite(den)):
         raise InternalConsistencyError("non-finite splat weights")
 
-    if cp:
-        contrib_point = np.concatenate(cp)
-        contrib_row = np.concatenate(cr)
-        contrib_col = np.concatenate(cc)
-        contrib_weight = np.concatenate(cw)
-        is_empty = False
-    else:
-        contrib_point = np.empty(0, dtype=np.int64)
-        contrib_row = np.empty(0, dtype=np.int64)
-        contrib_col = np.empty(0, dtype=np.int64)
-        contrib_weight = np.empty(0, dtype=np.float64)
-        is_empty = True
-
-    grid = FeatureGrid(num / (den + cfg.eps_norm)[:, :, None], semantics=semantics, empty=is_empty)
+    value = num.reshape(h, w, c) / (den + cfg.eps_norm)[:, :, None]
+    # the grid gets its own copy, so editing it cannot change the backward pass
+    grid = FeatureGrid(value.copy(), semantics=semantics, empty=bool(point.size == 0))
     aux = SplatAux(
         u=u, z=z, valid=valid,
-        contrib_point=contrib_point, contrib_row=contrib_row,
-        contrib_col=contrib_col, contrib_weight=contrib_weight,
-        weight_sum=den, config=cfg, camera=cam,
+        contrib_point=point, contrib_pixel=pixel, contrib_weight=weight,
+        weight_sum=den, value=value, config=cfg, camera=cam,
     )
     return grid, aux
 
@@ -266,41 +265,30 @@ def splat_backward(
 
     n = len(cloud)
     d_points = np.zeros((n, 3), dtype=np.float64)
-    d_features = np.zeros((n, c), dtype=np.float64)
-    if aux.contrib_point.size == 0:
-        return GradientBundle(d_points, d_features, 0.0 if with_sigma else None)
-
-    den_eps = aux.weight_sum + cfg.eps_norm
-    # value grid rebuilt from the stored contributions (same accumulation order)
-    num = np.zeros((h, w, c), dtype=np.float64)
-    np.add.at(num, (aux.contrib_row, aux.contrib_col),
-              aux.contrib_weight[:, None] * feats[aux.contrib_point])
-    v = num / den_eps[:, :, None]
-
     k = aux.contrib_point
-    rows = aux.contrib_row
-    cols = aux.contrib_col
+    rows, cols = np.divmod(aux.contrib_pixel, w)
     wgt = aux.contrib_weight
     g_pix = g[rows, cols, :]
-    inv_den = 1.0 / den_eps[rows, cols]
+    inv_den = 1.0 / (aux.weight_sum[rows, cols] + cfg.eps_norm)
+
+    def per_point(x):
+        # bincount adds in contribution order, so every point sums in a fixed order
+        return np.bincount(k, weights=x, minlength=n)
 
     # dL/df_k and dL/dw_k at each contribution
     d_features_contrib = g_pix * (wgt * inv_den)[:, None]
-    np.add.at(d_features, k, d_features_contrib)
-    d_w = np.einsum("mc,mc->m", g_pix, feats[k] - v[rows, cols, :]) * inv_den
+    d_features = np.stack([per_point(d_features_contrib[:, ch]) for ch in range(c)], axis=1)
+    d_w = np.einsum("mc,mc->m", g_pix, feats[k] - aux.value[rows, cols, :]) * inv_den
 
     # kernel chain: dw/du = w (q - u) / sigma^2, dw/dz = -w / (z + eps_depth)
-    qx = cols + 0.5
-    qy = rows + 0.5
-    ex = qx - aux.u[k, 0]
-    ey = qy - aux.u[k, 1]
+    ex = (cols + 0.5) - aux.u[k, 0]
+    ey = (rows + 0.5) - aux.u[k, 1]
     inv_sigma2 = 1.0 / (cfg.sigma * cfg.sigma)
-    d_u = np.zeros((n, 2), dtype=np.float64)
-    np.add.at(d_u[:, 0], k, d_w * wgt * ex * inv_sigma2)
-    np.add.at(d_u[:, 1], k, d_w * wgt * ey * inv_sigma2)
-    d_z = np.zeros(n, dtype=np.float64)
+    d_u = np.stack([per_point(d_w * wgt * ex * inv_sigma2), per_point(d_w * wgt * ey * inv_sigma2)], axis=1)
     if cfg.depth_weighting:
-        np.add.at(d_z, k, -d_w * wgt / (aux.z[k] + cfg.eps_depth))
+        d_z = per_point(-d_w * wgt / (aux.z[k] + cfg.eps_depth))
+    else:
+        d_z = np.zeros(n, dtype=np.float64)
 
     d_sigma = None
     if with_sigma:
@@ -332,17 +320,13 @@ def _scatter_min_depth(points: np.ndarray, feats: np.ndarray, cam: CameraModel) 
     """
     u, z, valid = project_points(cam, points)
     h, w = cam.resolution
-    data = np.zeros((h, w, feats.shape[1]), dtype=np.float64)
-    idx, rows, cols = _pixel_bins(u, valid, h, w)
-    if idx.size == 0:
-        return data, True
-    pix = rows * w + cols
+    data = np.zeros((h * w, feats.shape[1]), dtype=np.float64)
+    idx, pix = _pixel_bins(u, valid, h, w)
     order = np.lexsort((idx, z[idx], pix))
-    pix_sorted = pix[order]
-    first = np.flatnonzero(np.concatenate(([True], pix_sorted[1:] != pix_sorted[:-1])))
-    winners = order[first]
-    data[rows[winners], cols[winners], :] = feats[idx[winners]]
-    return data, False
+    # pixel ids are >= 0, so the first of each run differs from its -1 predecessor
+    winners = order[np.diff(pix[order], prepend=-1) != 0]
+    data[pix[winners]] = feats[idx[winners]]
+    return data.reshape(h, w, -1), bool(idx.size == 0)
 
 
 def rasterize_hard(cloud: PointCloud, cam: CameraModel, mode: str = "depth") -> FeatureGrid:
@@ -367,10 +351,9 @@ def hard_hit_count(cloud: PointCloud, cam: CameraModel) -> FeatureGrid:
     """Per-pixel count of hard-rasterized points, as a weightsum grid."""
     u, z, valid = project_points(cam, cloud.points)
     h, w = cam.resolution
-    counts = np.zeros((h, w), dtype=np.float64)
-    idx, rows, cols = _pixel_bins(u, valid, h, w)
-    np.add.at(counts, (rows, cols), 1.0)
-    return FeatureGrid(counts[:, :, None], semantics="weightsum", empty=bool(idx.size == 0))
+    idx, pix = _pixel_bins(u, valid, h, w)
+    counts = np.bincount(pix, minlength=h * w).astype(np.float64)
+    return FeatureGrid(counts.reshape(h, w, 1), semantics="weightsum", empty=bool(idx.size == 0))
 
 
 def _raw_density(cloud: PointCloud, cam: CameraModel, cfg: SplatConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -383,10 +366,12 @@ def _raw_density(cloud: PointCloud, cam: CameraModel, cfg: SplatConfig) -> tuple
     inv_two_sigma2 = 1.0 / (2.0 * cfg.sigma * cfg.sigma)
     xs = np.arange(w) + 0.5
     ys = np.arange(h) + 0.5
-    for (ux, uy), a in zip(u, alpha):
-        dx2 = (xs - ux) ** 2
-        dy2 = (ys - uy) ** 2
-        field += a * np.exp(-(dy2[:, None] + dx2[None, :]) * inv_two_sigma2)
+    # a finite but huge u squares to inf, and exp(-inf) = 0 is its right weight
+    with np.errstate(over="ignore"):
+        for (ux, uy), a in zip(u, alpha):
+            dx2 = (xs - ux) ** 2
+            dy2 = (ys - uy) ** 2
+            field += a * np.exp(-(dy2[:, None] + dx2[None, :]) * inv_two_sigma2)
     return field, u, alpha
 
 
@@ -419,7 +404,9 @@ def soft_density(cloud: PointCloud, cam: CameraModel, cfg: SplatConfig, q) -> fl
     if alpha.size == 0 or total <= 0.0:
         return 0.0
     inv_two_sigma2 = 1.0 / (2.0 * cfg.sigma * cfg.sigma)
-    d2 = ((u - qv) ** 2).sum(axis=1)
+    # a far u or q squares to inf, and exp(-inf) = 0 is its right weight
+    with np.errstate(over="ignore"):
+        d2 = ((u - qv) ** 2).sum(axis=1)
     return float(np.sum(alpha * np.exp(-d2 * inv_two_sigma2))) / total
 
 
@@ -435,19 +422,16 @@ def support_measure(cloud: PointCloud, cam: CameraModel, cfg: SplatConfig, mode:
         raise InvalidInputError("mode must be 'hard' or 'soft'")
     u, z, valid = project_points(cam, cloud.points)
     h, w = cam.resolution
-    _, rows, cols = _pixel_bins(u, valid, h, w)
-    hard_mask = np.zeros((h, w), dtype=bool)
-    hard_mask[rows, cols] = True
-    if mode == "hard":
-        return float(hard_mask.sum())
-    reach = 3.0 * cfg.sigma
-    soft_mask = hard_mask.copy()
-    for ux, uy in u[valid]:
-        c0, c1, r0, r1 = _window_bounds((ux, uy), reach, h, w)
-        if c0 > c1 or r0 > r1:
-            continue
-        dx = (np.arange(c0, c1 + 1) + 0.5) - ux
-        dy = (np.arange(r0, r1 + 1) + 0.5) - uy
-        disc = dy[:, None] ** 2 + dx[None, :] ** 2 <= reach * reach
-        soft_mask[r0 : r1 + 1, c0 : c1 + 1] |= disc
-    return float(soft_mask.sum())
+    mask = np.zeros(h * w, dtype=bool)
+    mask[_pixel_bins(u, valid, h, w)[1]] = True
+    if mode == "soft":
+        reach = 3.0 * cfg.sigma
+        # a window spans at most floor(2 reach) + 1 cells per axis, one more when
+        # rounding widens its bounds; chunks of points keep 2**20 cells at most
+        span = math.floor(2.0 * reach) + 2
+        chunk = max(1, 2**20 // (min(span, h) * min(span, w)))
+        uv = u[valid]
+        for start in range(0, len(uv), chunk):
+            _, pixel, dx, dy = _window_cells(uv[start : start + chunk], reach, h, w)
+            mask[pixel[dy ** 2 + dx ** 2 <= reach * reach]] = True
+    return float(mask.sum())

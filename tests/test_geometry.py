@@ -111,6 +111,14 @@ def test_camera_rejects_bad_rotation():
         CameraModel((1.0, 1.0), (0.0, 0.0), np.eye(3) * 2.0, np.zeros(3), (4, 4))
 
 
+def test_camera_rejects_non_integral_resolution():
+    for res in ((32.7, 16), ("a", 3), (4,), (float("nan"), 4)):
+        with pytest.raises(InvalidInputError):
+            CameraModel((1.0, 1.0), (0.0, 0.0), np.eye(3), np.zeros(3), res)
+    cam = CameraModel((1.0, 1.0), (0.0, 0.0), np.eye(3), np.zeros(3), (np.int64(5), 7.0))
+    assert cam.resolution == (5, 7) and all(type(v) is int for v in cam.resolution)
+
+
 def test_camera_coords_applies_extrinsics():
     rng = np.random.default_rng(0)
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
@@ -146,6 +154,10 @@ def test_front_camera_validates():
         front_camera((32, 32), 1.0, 0.85)
     with pytest.raises(InvalidInputError):
         front_camera((32, 32), 3.0, 0.0)
+    for res in ((32.7, 16), ("a", 3), (0, 16)):
+        with pytest.raises(InvalidInputError):
+            front_camera(res)
+    assert front_camera((np.int32(32), 16.0)).resolution == (32, 16)
 
 
 def test_normalize_unit_symmetric_pair():

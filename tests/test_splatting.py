@@ -6,12 +6,16 @@ windowing machinery.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from splatlab.errors import InvalidInputError
 from splatlab.geometry import CameraModel, PointCloud, front_camera, gen_sphere, project_points
+from splatlab.infotheory import pmi_field
 from splatlab.splatting import (
     SplatConfig,
     hard_hit_count,
@@ -128,16 +132,37 @@ def test_forward_truncation_tail_bound():
     np.testing.assert_allclose(grid.data, expected, rtol=0, atol=1e-7)
 
 
-def test_sequential_equals_parallel_bitwise():
-    for seed in (0, 1, 2, 3):
-        rng = np.random.default_rng(seed)
-        pts = rng.uniform(-0.9, 0.9, size=(40, 3))
-        feats = rng.random((40, 3))
-        cam = front_camera((24, 24), 3.0, 0.85)
-        cfg = SplatConfig(sigma=1.7, radius=6)
-        par, _ = splat_forward(PointCloud(pts), feats, cam, cfg, sequential=False)
-        seq, _ = splat_forward(PointCloud(pts), feats, cam, cfg, sequential=True)
-        assert np.array_equal(par.data, seq.data)
+# seeded, so every run draws the same examples and writes no example database
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), h=st.integers(1, 24), w=st.integers(1, 24),
+       sigma=st.floats(0.2, 8.0), radius=st.integers(1, 30), depth_weighting=st.booleans())
+def test_sequential_equals_parallel_bitwise(seed, n, h, w, sigma, radius, depth_weighting):
+    """Both accumulators agree bit for bit, over windows clipped on every side.
+
+    The contributions must be exactly the in-grid pixel centers within
+    Chebyshev distance radius of each visible point, in (point, row, col) order.
+    """
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1.2, 1.2, size=(n, 3))
+    feats = rng.random((n, 3))
+    cam = front_camera((h, w), 3.0, 0.85)
+    cfg = SplatConfig(sigma=sigma, radius=radius, depth_weighting=depth_weighting)
+    par, par_aux = splat_forward(PointCloud(pts), feats, cam, cfg, sequential=False)
+    seq, seq_aux = splat_forward(PointCloud(pts), feats, cam, cfg, sequential=True)
+    assert np.array_equal(par.data, seq.data)
+    assert np.array_equal(par_aux.weight_sum, seq_aux.weight_sum)
+
+    u, _, valid = project_points(cam, pts)
+    rows, cols = np.divmod(np.arange(h * w), w)
+    pairs = [(k, pix) for k in np.flatnonzero(valid) for pix in range(h * w)
+             if abs(cols[pix] + 0.5 - u[k, 0]) <= radius and abs(rows[pix] + 0.5 - u[k, 1]) <= radius]
+    expected = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    assert np.array_equal(par_aux.contrib_point, expected[:, 0])
+    assert np.array_equal(par_aux.contrib_pixel, expected[:, 1])
+    assert par.empty == (len(pairs) == 0)
 
 
 def test_translation_equivariance_integer_shift():
@@ -333,6 +358,26 @@ def test_support_soft_disjoint_union_doubles():
     assert both == 2.0 * one
 
 
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), h=st.integers(1, 40), w=st.integers(1, 40),
+       sigma=st.floats(0.1, 7.0))
+# sigma = 30 on 48x200 spreads the windows of 200 points over two 2**20-cell chunks
+@example(seed=1, n=200, h=48, w=200, sigma=30.0)
+def test_support_soft_matches_bruteforce(seed, n, h, w, sigma):
+    """Soft support counts the pixel centers within 3 sigma of a point, or hit by a hard bin."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1.2, 1.2, size=(n, 3))
+    cam = front_camera((h, w), 3.0, 0.85)
+    u, _, valid = project_points(cam, pts)
+    reach = 3.0 * sigma
+    dx = (np.arange(w) + 0.5)[None, None, :] - u[valid, 0][:, None, None]
+    dy = (np.arange(h) + 0.5)[None, :, None] - u[valid, 1][:, None, None]
+    covered = (dy ** 2 + dx ** 2 <= reach * reach).any(axis=0)
+    inside = valid & (u[:, 0] >= 0) & (u[:, 0] < w) & (u[:, 1] >= 0) & (u[:, 1] < h)
+    covered[np.floor(u[inside, 1]).astype(int), np.floor(u[inside, 0]).astype(int)] = True
+    assert support_measure(PointCloud(pts), cam, SplatConfig(sigma=sigma), "soft") == covered.sum()
+
+
 def test_support_dominance_random_triples():
     rng = np.random.default_rng(77)
     for _ in range(25):
@@ -379,6 +424,29 @@ def test_soft_density_all_culled_is_zero():
     assert field.empty
     assert not field.data.any()
     assert soft_density(cloud, cam, SplatConfig(), np.array([1.0, 1.0])) == 0.0
+
+
+def test_far_point_changes_nothing():
+    """x = 1e200 at depth 0.5 projects to a finite but huge u; it adds nothing and warns nowhere."""
+    rng = np.random.default_rng(5)
+    near = rng.uniform(-0.8, 0.8, size=(6, 3))
+    clouds = [PointCloud(near), PointCloud(np.vstack([near, [1e200, 0.0, -2.5]]))]
+    feats = rng.random((7, 2))
+    cam = front_camera((8, 8))
+    cfg = SplatConfig()
+
+    def outputs(cloud):
+        grid, aux = splat_forward(cloud, feats[: len(cloud)], cam, cfg)
+        return [grid.data, aux.weight_sum,
+                support_measure(cloud, cam, cfg, "hard"), support_measure(cloud, cam, cfg, "soft"),
+                soft_density_grid(cloud, cam, cfg).data, pmi_field(cloud, cam, cfg).data,
+                soft_density(cloud, cam, cfg, (4.2, 3.9)), soft_density(cloud, cam, cfg, (1e200, 4.0))]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        without, with_far = (outputs(c) for c in clouds)
+    for a, b in zip(without, with_far):
+        assert np.array_equal(a, b)
 
 
 def test_splat_config_validation():
