@@ -26,6 +26,8 @@ CULL_DEPTH = 1e-9
 FRONT_RESOLUTION = (128, 128)
 FRONT_DISTANCE = 3.0
 FRONT_FILL = 0.85
+# largest pixel grid a camera may have: 2**26 float64 pixels are 512 MB per channel
+MAX_PIXELS = 2**26
 
 
 def _as_points(arr) -> np.ndarray:
@@ -51,7 +53,7 @@ def _finite_array(value, shape: tuple[int, ...], msg: str) -> np.ndarray:
 
 
 def _resolution(value) -> tuple[int, int]:
-    """(height, width) as ints; both entries must be integral numbers >= 1."""
+    """(height, width) as ints; both entries must be integral numbers >= 1, at most MAX_PIXELS in all."""
     try:
         h, w = value
         integral = all(isinstance(v, numbers.Real) and int(v) == v for v in (h, w))
@@ -59,9 +61,12 @@ def _resolution(value) -> tuple[int, int]:
         integral = False
     if not integral:
         raise InvalidInputError(f"resolution must be two integral numbers, got {value!r}")
+    h, w = int(h), int(w)
     if h < 1 or w < 1:
         raise InvalidInputError("resolution must be at least 1x1")
-    return int(h), int(w)
+    if h * w > MAX_PIXELS:
+        raise InvalidInputError(f"resolution must have at most {MAX_PIXELS} pixels")
+    return h, w
 
 
 @dataclass

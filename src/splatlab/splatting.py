@@ -266,10 +266,10 @@ def splat_backward(
     n = len(cloud)
     d_points = np.zeros((n, 3), dtype=np.float64)
     k = aux.contrib_point
-    rows, cols = np.divmod(aux.contrib_pixel, w)
+    pixel = aux.contrib_pixel
     wgt = aux.contrib_weight
-    g_pix = g[rows, cols, :]
-    inv_den = 1.0 / (aux.weight_sum[rows, cols] + cfg.eps_norm)
+    g_pix = g.reshape(-1, c)[pixel]
+    inv_den = 1.0 / (aux.weight_sum.reshape(-1)[pixel] + cfg.eps_norm)
 
     def per_point(x):
         # bincount adds in contribution order, so every point sums in a fixed order
@@ -278,9 +278,10 @@ def splat_backward(
     # dL/df_k and dL/dw_k at each contribution
     d_features_contrib = g_pix * (wgt * inv_den)[:, None]
     d_features = np.stack([per_point(d_features_contrib[:, ch]) for ch in range(c)], axis=1)
-    d_w = np.einsum("mc,mc->m", g_pix, feats[k] - aux.value[rows, cols, :]) * inv_den
+    d_w = np.einsum("mc,mc->m", g_pix, feats[k] - aux.value.reshape(-1, c)[pixel]) * inv_den
 
     # kernel chain: dw/du = w (q - u) / sigma^2, dw/dz = -w / (z + eps_depth)
+    rows, cols = np.divmod(pixel, w)
     ex = (cols + 0.5) - aux.u[k, 0]
     ey = (rows + 0.5) - aux.u[k, 1]
     inv_sigma2 = 1.0 / (cfg.sigma * cfg.sigma)
@@ -356,23 +357,28 @@ def hard_hit_count(cloud: PointCloud, cam: CameraModel) -> FeatureGrid:
     return FeatureGrid(counts.reshape(h, w, 1), semantics="weightsum", empty=bool(idx.size == 0))
 
 
-def _raw_density(cloud: PointCloud, cam: CameraModel, cfg: SplatConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Untruncated mixture over the full pixel grid; returns (field, u, alpha) of the valid points."""
+def _density_factors(cloud: PointCloud, cam: CameraModel, cfg: SplatConfig) -> tuple[np.ndarray, ...]:
+    """Separable factors of the untruncated mixture over the valid points.
+
+    Returns (gy, gx, u, alpha): the (N, H) row and (N, W) column Gaussians,
+    so point k contributes alpha_k gy[k, r] gx[k, c] at pixel (r, c).
+    """
     u, z, valid = project_points(cam, cloud.points)
     u = u[valid]
     alpha = 1.0 / (z[valid] + cfg.eps_depth) if cfg.depth_weighting else np.ones(len(u))
     h, w = cam.resolution
-    field = np.zeros((h, w), dtype=np.float64)
     inv_two_sigma2 = 1.0 / (2.0 * cfg.sigma * cfg.sigma)
-    xs = np.arange(w) + 0.5
-    ys = np.arange(h) + 0.5
     # a finite but huge u squares to inf, and exp(-inf) = 0 is its right weight
     with np.errstate(over="ignore"):
-        for (ux, uy), a in zip(u, alpha):
-            dx2 = (xs - ux) ** 2
-            dy2 = (ys - uy) ** 2
-            field += a * np.exp(-(dy2[:, None] + dx2[None, :]) * inv_two_sigma2)
-    return field, u, alpha
+        gy = -(((np.arange(h) + 0.5) - u[:, 1:2]) ** 2) * inv_two_sigma2
+        gx = -(((np.arange(w) + 0.5) - u[:, 0:1]) ** 2) * inv_two_sigma2
+    # in place, so the factors are the only (N, H) and (N, W) arrays
+    return np.exp(gy, out=gy), np.exp(gx, out=gx), u, alpha
+
+
+def _density_total(gy: np.ndarray, gx: np.ndarray, alpha: np.ndarray) -> float:
+    """Riemann sum of the mixture over the grid (unit pixel area), in O(N (H + W))."""
+    return float(np.sum(alpha * gy.sum(axis=1) * gx.sum(axis=1)))
 
 
 def soft_density_grid(cloud: PointCloud, cam: CameraModel, cfg: SplatConfig) -> FeatureGrid:
@@ -382,10 +388,12 @@ def soft_density_grid(cloud: PointCloud, cam: CameraModel, cfg: SplatConfig) -> 
     (unit pixel area) is 1. All points culled, or total mass underflowing to
     zero, yields a zero grid flagged empty.
     """
-    field, _, alpha = _raw_density(cloud, cam, cfg)
-    total = float(field.sum())
+    gy, gx, _, alpha = _density_factors(cloud, cam, cfg)
+    total = _density_total(gy, gx, alpha)
     if alpha.size == 0 or total <= 0.0:
-        return FeatureGrid(np.zeros_like(field)[:, :, None], semantics="generic", empty=True)
+        return FeatureGrid(np.zeros((*cam.resolution, 1)), semantics="generic", empty=True)
+    gy *= alpha[:, None]
+    field = gy.T @ gx
     return FeatureGrid((field / total)[:, :, None], semantics="generic", empty=False)
 
 
@@ -399,8 +407,8 @@ def soft_density(cloud: PointCloud, cam: CameraModel, cfg: SplatConfig, q) -> fl
     qv = np.asarray(q, dtype=np.float64).reshape(-1)
     if qv.shape != (2,) or not np.all(np.isfinite(qv)):
         raise InvalidInputError("q must be a finite 2-vector")
-    field, u, alpha = _raw_density(cloud, cam, cfg)
-    total = float(field.sum())
+    gy, gx, u, alpha = _density_factors(cloud, cam, cfg)
+    total = _density_total(gy, gx, alpha)
     if alpha.size == 0 or total <= 0.0:
         return 0.0
     inv_two_sigma2 = 1.0 / (2.0 * cfg.sigma * cfg.sigma)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from splatlab.errors import InvalidInputError
 from splatlab.geometry import CameraModel, PointCloud, front_camera, gen_sphere, project_points
-from splatlab.infotheory import pmi_field
+from splatlab.infotheory import PMI_FLOOR, pmi_field
 from splatlab.splatting import (
     SplatConfig,
     hard_hit_count,
@@ -48,6 +48,24 @@ def naive_splat(points, feats, cam, cfg):
                 num[row, col] += wk * feats[k]
                 den[row, col] += wk
     return num / (den[:, :, None] + cfg.eps_norm)
+
+
+def loop_density(cloud, cam, cfg):
+    """Untruncated mixture summed one full H x W Gaussian per point; returns (field, u, alpha)."""
+    u, z, valid = project_points(cam, cloud.points)
+    u = u[valid]
+    alpha = 1.0 / (z[valid] + cfg.eps_depth) if cfg.depth_weighting else np.ones(len(u))
+    h, w = cam.resolution
+    field = np.zeros((h, w), dtype=np.float64)
+    inv_two_sigma2 = 1.0 / (2.0 * cfg.sigma * cfg.sigma)
+    xs = np.arange(w) + 0.5
+    ys = np.arange(h) + 0.5
+    with np.errstate(over="ignore"):
+        for (ux, uy), a in zip(u, alpha):
+            dx2 = (xs - ux) ** 2
+            dy2 = (ys - uy) ** 2
+            field += a * np.exp(-(dy2[:, None] + dx2[None, :]) * inv_two_sigma2)
+    return field, u, alpha
 
 
 def _cam(side=12, focal=9.0, depth=3.0):
@@ -394,7 +412,37 @@ def test_soft_density_riemann_sum_is_one():
     cloud = PointCloud(rng.uniform(-0.8, 0.8, size=(30, 3)))
     cam = front_camera((32, 32), 3.0, 0.85)
     field = soft_density_grid(cloud, cam, SplatConfig())
-    assert abs(field.data.sum() - 1.0) < 1e-6
+    assert abs(field.data.sum() - 1.0) < 1e-12
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300), h=st.integers(1, 64), w=st.integers(1, 64),
+       log_sigma=st.floats(math.log(0.05), math.log(10.0)), depth_weighting=st.booleans())
+def test_density_matches_loop_oracle(seed, n, h, w, log_sigma, depth_weighting):
+    """The separable field, its closed-form normalizer and PMI agree with the per-point loop."""
+    rng = np.random.default_rng(seed)
+    cloud = PointCloud(rng.uniform(-1.2, 1.2, size=(n, 3)))
+    cam = front_camera((h, w), 3.0, 0.85)
+    cfg = SplatConfig(sigma=math.exp(log_sigma), depth_weighting=depth_weighting)
+    q = rng.uniform(0.0, 1.0, 2) * (w, h)
+
+    field, u, alpha = loop_density(cloud, cam, cfg)
+    total = field.sum()
+    empty = alpha.size == 0 or total <= 0.0
+    got = soft_density_grid(cloud, cam, cfg)
+    assert got.empty == empty
+    want = np.zeros_like(field) if empty else field / total
+    normal = want >= np.finfo(float).tiny
+    np.testing.assert_allclose(got.data[:, :, 0][normal], want[normal], rtol=1e-12, atol=0)
+
+    pmi = np.full_like(want, PMI_FLOOR)
+    nz = want > 0.0
+    pmi[nz] = np.maximum(np.log(want[nz] * want.size), PMI_FLOOR)
+    np.testing.assert_allclose(pmi_field(cloud, cam, cfg).data[:, :, 0], pmi, rtol=0, atol=1e-12)
+
+    d2 = ((u - q) ** 2).sum(axis=1)
+    at_q = 0.0 if empty else float(np.sum(alpha * np.exp(-d2 / (2.0 * cfg.sigma ** 2)))) / total
+    np.testing.assert_allclose(soft_density(cloud, cam, cfg, q), at_q, rtol=1e-12, atol=0)
 
 
 def test_soft_density_peak_at_projection():
