@@ -60,7 +60,11 @@ def _resolution(value) -> tuple[int, int]:
     except (TypeError, ValueError, OverflowError):
         integral = False
     if not integral:
-        raise InvalidInputError(f"resolution must be two integral numbers, got {value!r}")
+        # types only: the repr of an int over 4,300 digits raises ValueError
+        kinds = type(value).__name__
+        if isinstance(value, (tuple, list)):
+            kinds += "(" + ", ".join(type(v).__name__ for v in value[:3]) + ")"
+        raise InvalidInputError(f"resolution must be two integral numbers, got {kinds}")
     h, w = int(h), int(w)
     if h < 1 or w < 1:
         raise InvalidInputError("resolution must be at least 1x1")

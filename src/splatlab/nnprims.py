@@ -377,6 +377,11 @@ class AblationReport:
         }
 
 
+def _frobenius(x: np.ndarray) -> float:
+    # np.linalg.norm calls BLAS ddot, whose sum splits by thread count; np.sum never does
+    return math.sqrt(float(np.sum(x * x)))
+
+
 def counterfactual_ablate(
     cloud: PointCloud,
     cam: CameraModel,
@@ -404,8 +409,8 @@ def counterfactual_ablate(
     visual = grid.data.reshape(-1, grid.channels)
     out_full = cross_attention(geo_tokens, visual, params.attention)
     out_abl = cross_attention(geo_tokens, np.zeros_like(visual), params.attention)
-    delta = float(np.linalg.norm(out_full - out_abl))
-    denom = float(np.linalg.norm(out_full))
+    delta = _frobenius(out_full - out_abl)
+    denom = _frobenius(out_full)
     sensitivity = delta / denom if denom > 0 else 0.0
     if not math.isfinite(sensitivity):
         raise InternalConsistencyError("ablation sensitivity is not finite")

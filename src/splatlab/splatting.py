@@ -96,6 +96,7 @@ class SplatAux:
     by point index, then window row, then window column; ``contrib_pixel`` is
     the row-major pixel id (row * width + col). ``weight_sum`` is the per-pixel
     sum of contributor weights and ``value`` the normalized (H, W, C) grid.
+    splat_backward reads per-point values once per run of equal ``contrib_point``.
     """
 
     u: np.ndarray
@@ -221,7 +222,7 @@ def splat_forward(
                 num[pix, ch] += wgt * feats[p, ch]
     else:
         den = np.bincount(pixel, weights=weight, minlength=h * w)
-        num = np.stack([np.bincount(pixel, weights=weight * feats[point, ch], minlength=h * w)
+        num = np.stack([np.bincount(pixel, weights=weight * feats[:, ch][point], minlength=h * w)
                         for ch in range(c)], axis=1)
     den = den.reshape(h, w)
 
@@ -268,32 +269,42 @@ def splat_backward(
     k = aux.contrib_point
     pixel = aux.contrib_pixel
     wgt = aux.contrib_weight
-    g_pix = g.reshape(-1, c)[pixel]
-    inv_den = 1.0 / (aux.weight_sum.reshape(-1)[pixel] + cfg.eps_norm)
+    # contributions come in runs of one point; per-point values are repeated over their run
+    starts = np.flatnonzero(np.diff(k, prepend=-1) != 0)
+    pts = k[starts]
+    counts = np.diff(starts, append=k.size)
+    g_pix = np.take(g.reshape(-1, c), pixel, axis=0)
+    inv_den = (1.0 / (aux.weight_sum.reshape(-1) + cfg.eps_norm))[pixel]
 
     def per_point(x):
         # bincount adds in contribution order, so every point sums in a fixed order
         return np.bincount(k, weights=x, minlength=n)
 
     # dL/df_k and dL/dw_k at each contribution
-    d_features_contrib = g_pix * (wgt * inv_den)[:, None]
-    d_features = np.stack([per_point(d_features_contrib[:, ch]) for ch in range(c)], axis=1)
-    d_w = np.einsum("mc,mc->m", g_pix, feats[k] - aux.value.reshape(-1, c)[pixel]) * inv_den
+    wgt_inv_den = wgt * inv_den
+    d_features = np.stack([per_point(g_pix[:, ch] * wgt_inv_den) for ch in range(c)], axis=1)
+    diff = np.repeat(feats[pts], counts, axis=0)
+    diff -= np.take(aux.value.reshape(-1, c), pixel, axis=0)
+    # the einsum stays on (m, C) rows: its channel order is not that of a per-channel sum
+    d_w = np.einsum("mc,mc->m", g_pix, diff) * inv_den
+    # drop the (m, C) rows before the kernel chain allocates, which lowers peak memory
+    del g_pix, diff
 
     # kernel chain: dw/du = w (q - u) / sigma^2, dw/dz = -w / (z + eps_depth)
-    rows, cols = np.divmod(pixel, w)
-    ex = (cols + 0.5) - aux.u[k, 0]
-    ey = (rows + 0.5) - aux.u[k, 1]
+    centers = np.arange(h * w)
+    ex = ((centers % w) + 0.5)[pixel] - np.repeat(aux.u[pts, 0], counts)
+    ey = ((centers // w) + 0.5)[pixel] - np.repeat(aux.u[pts, 1], counts)
     inv_sigma2 = 1.0 / (cfg.sigma * cfg.sigma)
-    d_u = np.stack([per_point(d_w * wgt * ex * inv_sigma2), per_point(d_w * wgt * ey * inv_sigma2)], axis=1)
+    s = d_w * wgt
+    d_u = np.stack([per_point(s * ex * inv_sigma2), per_point(s * ey * inv_sigma2)], axis=1)
     if cfg.depth_weighting:
-        d_z = per_point(-d_w * wgt / (aux.z[k] + cfg.eps_depth))
+        d_z = per_point(-s / np.repeat(aux.z[pts] + cfg.eps_depth, counts))
     else:
         d_z = np.zeros(n, dtype=np.float64)
 
     d_sigma = None
     if with_sigma:
-        d_sigma = float(np.sum(d_w * wgt * (ex * ex + ey * ey)) / cfg.sigma**3)
+        d_sigma = float(np.sum(s * (ex * ex + ey * ey)) / cfg.sigma**3)
 
     # projection chain: u = (fx x/z + cx, fy y/z + cy), depth passthrough z
     fx, fy = cam.focal

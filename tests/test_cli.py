@@ -1,7 +1,11 @@
 """CLI tests driven through in-process main() calls."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from dataclasses import asdict
 
 import numpy as np
@@ -227,6 +231,30 @@ def test_ablate_smoke(cloud_path, tmp_path):
     report = load_report(out)
     assert report["sensitivity"] > 0
     assert report["value_path_only"] is True
+
+
+def test_ablate_report_independent_of_blas_threads(tmp_path):
+    """The ablate report is byte-identical under one and two OpenBLAS threads.
+
+    A norm taken through BLAS (np.linalg.norm) splits its sum across threads,
+    which changes its last bits. 626 points, a 626 x 16 fused output, is the
+    smallest seed-42 lidar cloud where that showed; 625 gave equal bytes. A
+    1-core machine runs both subprocesses single-threaded, so it cannot show
+    the defect; the test still runs there.
+    """
+    cloud = str(tmp_path / "lidar.xyz")
+    assert cli.main(["gen-synth", "--kind", "lidar", "--n", "626", "--seed", "42", "--out", cloud]) == 0
+    src = str(Path(cli.__file__).resolve().parents[1])
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"ablate{threads}.json"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-c", "import sys; from splatlab.cli import main; sys.exit(main(sys.argv[1:]))",
+                        "ablate", "--input", cloud, "--grid", "32", "32", "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_splat_report_double_run_identical(cloud_path, tmp_path):

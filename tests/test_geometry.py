@@ -154,8 +154,9 @@ def test_front_camera_validates():
         front_camera((32, 32), 1.0, 0.85)
     with pytest.raises(InvalidInputError):
         front_camera((32, 32), 3.0, 0.0)
-    # 10**400 used to overflow at h / 2.0; 10**6 squared used to reach np.zeros
-    for res in ((32.7, 16), ("a", 3), (0, 16), (10**400, 3), (10**6, 10**6)):
+    # 10**400 used to overflow at h / 2.0; 10**6 squared used to reach np.zeros;
+    # 10**5000 has no repr under the int-to-str digit limit
+    for res in ((32.7, 16), ("a", 3), (0, 16), (10**400, 3), (10**6, 10**6), (10**5000, "a")):
         with pytest.raises(InvalidInputError):
             front_camera(res)
     assert front_camera((np.int32(32), 16.0)).resolution == (32, 16)

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from splatlab.errors import InvalidInputError
-from splatlab.geometry import CameraModel, PointCloud, front_camera, gen_sphere, project_points
+from splatlab.geometry import CameraModel, PointCloud, camera_coords, front_camera, gen_sphere, project_points
 from splatlab.infotheory import PMI_FLOOR, pmi_field
 from splatlab.splatting import (
     SplatConfig,
@@ -66,6 +66,50 @@ def loop_density(cloud, cam, cfg):
             dy2 = (ys - uy) ** 2
             field += a * np.exp(-(dy2[:, None] + dx2[None, :]) * inv_two_sigma2)
     return field, u, alpha
+
+
+def gather_backward(aux, cloud, feats, upstream):
+    """splat_backward by per-contribution row gathers; returns (d_points, d_features, d_sigma).
+
+    Every product and sum runs in the order splat_backward must keep, so the
+    two agree bit for bit.
+    """
+    cfg, cam = aux.config, aux.camera
+    h, w = cam.resolution
+    c = feats.shape[1]
+    g = np.asarray(upstream, dtype=np.float64)
+    n = len(cloud)
+    k, pixel, wgt = aux.contrib_point, aux.contrib_pixel, aux.contrib_weight
+    g_pix = g.reshape(-1, c)[pixel]
+    inv_den = 1.0 / (aux.weight_sum.reshape(-1)[pixel] + cfg.eps_norm)
+
+    def per_point(x):
+        return np.bincount(k, weights=x, minlength=n)
+
+    d_features_contrib = g_pix * (wgt * inv_den)[:, None]
+    d_features = np.stack([per_point(d_features_contrib[:, ch]) for ch in range(c)], axis=1)
+    d_w = np.einsum("mc,mc->m", g_pix, feats[k] - aux.value.reshape(-1, c)[pixel]) * inv_den
+    rows, cols = np.divmod(pixel, w)
+    ex = (cols + 0.5) - aux.u[k, 0]
+    ey = (rows + 0.5) - aux.u[k, 1]
+    inv_sigma2 = 1.0 / (cfg.sigma * cfg.sigma)
+    d_u = np.stack([per_point(d_w * wgt * ex * inv_sigma2), per_point(d_w * wgt * ey * inv_sigma2)], axis=1)
+    d_z = per_point(-d_w * wgt / (aux.z[k] + cfg.eps_depth)) if cfg.depth_weighting else np.zeros(n)
+    d_sigma = float(np.sum(d_w * wgt * (ex * ex + ey * ey)) / cfg.sigma**3)
+
+    fx, fy = cam.focal
+    cam_pts = camera_coords(cam, cloud.points)
+    active = aux.valid & ((d_u != 0).any(axis=1) | (d_z != 0))
+    d_points = np.zeros((n, 3))
+    if np.any(active):
+        xc, yc, zc = cam_pts[active].T
+        dux, duy = d_u[active].T
+        d_cam = np.empty((int(active.sum()), 3))
+        d_cam[:, 0] = dux * fx / zc
+        d_cam[:, 1] = duy * fy / zc
+        d_cam[:, 2] = -dux * fx * xc / (zc * zc) - duy * fy * yc / (zc * zc) + d_z[active]
+        d_points[active] = d_cam @ cam.rotation
+    return d_points, d_features, d_sigma
 
 
 def _cam(side=12, focal=9.0, depth=3.0):
@@ -181,6 +225,31 @@ def test_sequential_equals_parallel_bitwise(seed, n, h, w, sigma, radius, depth_
     assert np.array_equal(par_aux.contrib_point, expected[:, 0])
     assert np.array_equal(par_aux.contrib_pixel, expected[:, 1])
     assert par.empty == (len(pairs) == 0)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), h=st.integers(1, 24), w=st.integers(1, 24),
+       sigma=st.floats(0.2, 8.0), radius=st.integers(1, 30), c=st.integers(1, 5),
+       depth_weighting=st.booleans(), fortran=st.booleans(), culled=st.floats(0.0, 1.0))
+@example(seed=0, n=5, h=6, w=7, sigma=1.0, radius=2, c=2, depth_weighting=True, fortran=False, culled=1.0)
+def test_backward_matches_gather_oracle_bitwise(seed, n, h, w, sigma, radius, c, depth_weighting, fortran, culled):
+    """splat_backward equals the row-gather oracle bit for bit; culled=1 leaves no contribution."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1.2, 1.2, size=(n, 3))
+    pts[rng.random(n) < culled, 2] = -9.0
+    feats = rng.random((n, c))
+    upstream = rng.standard_normal((h, w, c))
+    if fortran:
+        upstream = np.asfortranarray(upstream)
+    cam = front_camera((h, w), 3.0, 0.85)
+    cfg = SplatConfig(sigma=sigma, radius=radius, depth_weighting=depth_weighting)
+    cloud = PointCloud(pts)
+    _, aux = splat_forward(cloud, feats, cam, cfg)
+    got = splat_backward(aux, cloud, feats, upstream, with_sigma=True)
+    d_points, d_features, d_sigma = gather_backward(aux, cloud, feats, upstream)
+    assert np.array_equal(got.d_points, d_points)
+    assert np.array_equal(got.d_features, d_features)
+    assert got.d_sigma == d_sigma
 
 
 def test_translation_equivariance_integer_shift():
