@@ -5,8 +5,8 @@ import os
 import subprocess
 import sys
 import warnings
-from pathlib import Path
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest

@@ -245,6 +245,8 @@ def test_backward_matches_gather_oracle_bitwise(seed, n, h, w, sigma, radius, c,
     cfg = SplatConfig(sigma=sigma, radius=radius, depth_weighting=depth_weighting)
     cloud = PointCloud(pts)
     _, aux = splat_forward(cloud, feats, cam, cfg)
+    if culled == 1.0:
+        assert aux.contrib_point.size == 0
     got = splat_backward(aux, cloud, feats, upstream, with_sigma=True)
     d_points, d_features, d_sigma = gather_backward(aux, cloud, feats, upstream)
     assert np.array_equal(got.d_points, d_points)
