@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InternalConsistencyError, InvalidInputError
 from .geometry import CameraModel, NeighborGraph, PointCloud, ccm_features, knn, project_points
-from .splatting import SplatConfig, _scatter_min_depth, _window_bounds, splat_backward, splat_forward
+from .splatting import SplatConfig, _stepped_losses, splat_backward, splat_forward
 
 EDGECONV_HIDDEN = 32
 PROBE_STEP_PX = 1e-4
@@ -215,8 +215,10 @@ class ProbeReport:
     """Per-coordinate gradient evidence for one projection mode.
 
     ``fd`` holds central finite differences of the masked-mean loss; ``unstable``
-    marks coordinates whose perturbation crossed a pixel boundary (hard) or
-    shifted a truncation window (soft), which the exactness stats exclude.
+    marks coordinates whose perturbation culled the point, crossed a pixel
+    boundary or changed whether the point wins its pixel's z-buffer, where the
+    lowest (z, index) wins (hard), or shifted a truncation window (soft). The
+    exactness stats exclude them.
     """
 
     mode: str
@@ -239,10 +241,6 @@ class ProbeReport:
         }
 
 
-def _masked_mean_loss(data: np.ndarray, mask: np.ndarray) -> float:
-    return float((data * mask).sum() / mask.size)
-
-
 def grad_flow_probe(cloud: PointCloud, cam: CameraModel, cfg: SplatConfig, mode: str, seed: int) -> ProbeReport:
     """Measure gradient flow through hard or soft projection.
 
@@ -250,10 +248,14 @@ def grad_flow_probe(cloud: PointCloud, cam: CameraModel, cfg: SplatConfig, mode:
     -> grid -> loss = mean of the grid weighted by a seeded random mask.
     Features are frozen at the unperturbed cloud so the hard path is genuinely
     piecewise constant in the positions. Finite differences use a central step
-    of about 1e-4 pixels (scaled into scene units per point depth).
+    of about 1e-4 pixels (scaled into scene units per point depth). Each
+    stepped loss patches the base grid locally, with the bits of a full
+    re-splat of the stepped cloud.
 
-    hard: reports FD gradients, flags coordinates whose step crossed a pixel
-    boundary; every unflagged FD entry must be exactly zero.
+    hard: reports FD gradients and flags a coordinate when a step moves its
+    point to another pixel bin, culls it, or changes whether it wins its bin
+    (the z-buffer keeps the lowest (z, index)); every unflagged FD entry must
+    be exactly zero.
     soft: additionally reports the analytic splat_backward gradient; the
     summary's max_err_ratio compares FD and analytic on window-stable
     coordinates as |a - fd| / (atol + rtol |fd|) with rtol 1e-5, atol 1e-9.
@@ -267,51 +269,27 @@ def grad_flow_probe(cloud: PointCloud, cam: CameraModel, cfg: SplatConfig, mode:
     rng = np.random.default_rng(seed)
     mask = rng.random((h, w, feats.shape[1]))
 
-    u0, z0, valid0 = project_points(cam, pts)
+    _, z0, valid0 = project_points(cam, pts)
     if not np.any(valid0):
         raise InvalidInputError("all points culled; probe needs visible geometry")
     fx, fy = cam.focal
     f_avg = 0.5 * (fx + fy)
     steps = PROBE_STEP_PX * np.where(valid0, z0, 1.0) / f_avg
 
-    if mode == "hard":
-        def grid_of(p):
-            data, _ = _scatter_min_depth(p, feats, cam)
-            return data
-        analytic = None
-    else:
-        def grid_of(p):
-            grid, _ = splat_forward(PointCloud(p), feats, cam, cfg)
-            return grid.data
-        base_grid, base_aux = splat_forward(cloud, feats, cam, cfg)
-        upstream = mask / mask.size
-        analytic = splat_backward(base_aux, cloud, feats, upstream).d_points
-
-    base = grid_of(pts)
-    loss0 = _masked_mean_loss(base, mask)
+    # stepped rows ordered (point, axis, sign): +step, then -step, per axis
+    vis = np.flatnonzero(valid0)
+    stepped = np.repeat(pts[vis], 6, axis=0).reshape(-1, 3, 2, 3)
+    for axis in range(3):
+        stepped[:, axis, 0, axis] += steps[vis]
+        stepped[:, axis, 1, axis] -= steps[vis]
+    loss0, losses, moved, aux = _stepped_losses(cloud, feats, cam, cfg, mode, mask,
+                                                stepped.reshape(-1, 3), np.repeat(vis, 6))
+    losses = losses.reshape(-1, 3, 2)
     fd = np.zeros((n, 3), dtype=np.float64)
+    fd[vis] = (losses[:, :, 0] - losses[:, :, 1]) / (2.0 * steps[vis])[:, None]
     unstable = np.zeros((n, 3), dtype=bool)
-
-    for i in range(n):
-        if not valid0[i]:
-            continue
-        step = steps[i]
-        for axis in range(3):
-            plus = pts.copy()
-            plus[i, axis] += step
-            minus = pts.copy()
-            minus[i, axis] -= step
-            fd[i, axis] = (_masked_mean_loss(grid_of(plus), mask)
-                           - _masked_mean_loss(grid_of(minus), mask)) / (2.0 * step)
-            up, _, vp = project_points(cam, plus[i : i + 1])
-            um, _, vm = project_points(cam, minus[i : i + 1])
-            if not (vp[0] and vm[0]):
-                unstable[i, axis] = True
-                continue
-            # the step is stable when the pixel bin (hard) or the window (soft) stays put
-            trio = np.stack([u0[i], up[0], um[0]])
-            cells = np.floor(trio) if mode == "hard" else np.hstack(_window_bounds(trio, cfg.radius, h, w))
-            unstable[i, axis] = bool((cells != cells[0]).any())
+    unstable[vis] = moved.reshape(-1, 3, 2).any(axis=2)
+    analytic = None if mode == "hard" else splat_backward(aux, cloud, feats, mask / mask.size).d_points
 
     stable = ~unstable & valid0[:, None]
     summary: dict = {

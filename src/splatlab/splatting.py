@@ -26,6 +26,8 @@ from .errors import InternalConsistencyError, InvalidInputError
 from .geometry import CameraModel, PointCloud, camera_coords, ccm_features, project_points
 
 DEFAULT_RADIUS = 4
+# _stepped_losses re-sums about this many contributions per chunk of copies
+_PROBE_CHUNK_ENTRIES = 2**13
 
 _SEMANTICS = ("depth", "ccm", "weightsum", "generic")
 
@@ -160,6 +162,18 @@ def _window_cells(u: np.ndarray, reach: float, h: int, w: int) -> tuple[np.ndarr
     return point, pixel, dx, dy
 
 
+def _contributions(u: np.ndarray, z: np.ndarray, valid: np.ndarray, cfg: SplatConfig,
+                   h: int, w: int) -> tuple[np.ndarray, ...]:
+    """(point, pixel, weight) of every window cell of every valid row of u, in point order."""
+    vis = np.flatnonzero(valid)
+    k, pixel, dx, dy = _window_cells(u[vis], cfg.radius, h, w)
+    inv_two_sigma2 = 1.0 / (2.0 * cfg.sigma * cfg.sigma)
+    weight = np.exp(-(dy ** 2 + dx ** 2) * inv_two_sigma2)
+    if cfg.depth_weighting:
+        weight *= (1.0 / (z[vis] + cfg.eps_depth))[k]
+    return vis[k], pixel, weight
+
+
 def _pixel_bins(u: np.ndarray, valid: np.ndarray, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     """Hard binning: (idx, pixel) of the valid points whose floor(u) lands on the grid.
 
@@ -203,14 +217,7 @@ def splat_forward(
     u, z, valid = project_points(cam, cloud.points)
     h, w = cam.resolution
     c = feats.shape[1]
-    inv_two_sigma2 = 1.0 / (2.0 * cfg.sigma * cfg.sigma)
-
-    vis = np.flatnonzero(valid)
-    k, pixel, dx, dy = _window_cells(u[vis], cfg.radius, h, w)
-    point = vis[k]
-    weight = np.exp(-(dy ** 2 + dx ** 2) * inv_two_sigma2)
-    if cfg.depth_weighting:
-        weight *= (1.0 / (z[vis] + cfg.eps_depth))[k]
+    point, pixel, weight = _contributions(u, z, valid, cfg, h, w)
 
     # every pixel sums its contributions in list order, i.e. ascending point index
     if sequential:
@@ -333,12 +340,163 @@ def _scatter_min_depth(points: np.ndarray, feats: np.ndarray, cam: CameraModel) 
     u, z, valid = project_points(cam, points)
     h, w = cam.resolution
     data = np.zeros((h * w, feats.shape[1]), dtype=np.float64)
+    pix, idx, head = _depth_runs(u, z, valid, h, w)
+    data[pix[head]] = feats[idx[head]]
+    return data.reshape(h, w, -1), bool(idx.size == 0)
+
+
+def _depth_runs(u: np.ndarray, z: np.ndarray, valid: np.ndarray, h: int, w: int) -> tuple[np.ndarray, ...]:
+    """(pix, idx, head): the binned points sorted by (pixel, depth, index), and their run starts.
+
+    The head of each pixel's run is its z-buffer winner: the lowest (z, index).
+    """
     idx, pix = _pixel_bins(u, valid, h, w)
     order = np.lexsort((idx, z[idx], pix))
+    pix, idx = pix[order], idx[order]
     # pixel ids are >= 0, so the first of each run differs from its -1 predecessor
-    winners = order[np.diff(pix[order], prepend=-1) != 0]
-    data[pix[winners]] = feats[idx[winners]]
-    return data.reshape(h, w, -1), bool(idx.size == 0)
+    return pix, idx, np.diff(pix, prepend=-1) != 0
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenated aranges: starts[j], ..., starts[j] + counts[j] - 1 for each j."""
+    offsets = np.cumsum(counts) - counts
+    return np.repeat(starts - offsets, counts) + np.arange(int(counts.sum()))
+
+
+def _stepped_losses(cloud: PointCloud, feats: np.ndarray, cam: CameraModel, cfg: SplatConfig, mode: str,
+                    mask: np.ndarray, stepped: np.ndarray, owner: np.ndarray) -> tuple:
+    """Masked-mean losses of the cloud's projection and of copies that each move one point.
+
+    Copy j is the cloud with the valid row owner[j] moved to stepped[j]; the
+    loss is mean(grid * mask) over the soft splat (mode "soft") or the z-buffer
+    scatter (mode "hard") of the fixed ``feats``. Each copy patches the base
+    grid where the moved point can change it: its old and new windows (soft,
+    re-summed in ascending point order as splat_forward sums) or its old and
+    new bins (hard, the lowest (z, index) wins). The losses are bit for bit
+    those of a full re-splat of each copy.
+
+    Returns (loss, losses, moved, aux). moved[j] is set when the copy's point
+    is culled, shifts its clipped window (soft) or its floor(u) cell (hard),
+    or wins its z-buffer bin in the copy but not in the cloud or the reverse
+    (hard). aux is the cloud's SplatAux in soft mode and None in hard mode.
+    """
+    h, w = cam.resolution
+    n, hw, c = len(cloud), h * w, feats.shape[1]
+    us, zs, vs = project_points(cam, stepped)
+    if mode == "soft":
+        _, aux = splat_forward(cloud, feats, cam, cfg)
+        u0, base = aux.u, aux.value.reshape(hw, c)
+        k, pixel = aux.contrib_point, aux.contrib_pixel
+        # contributions indexed pixel-major; within a pixel, point order
+        by_pixel = np.argsort(pixel, kind="stable")
+        pm_point, pm_weight = k[by_pixel], aux.contrib_weight[by_pixel]
+        occupancy = np.bincount(pixel, minlength=hw)
+        pm_start = np.concatenate(([0], np.cumsum(occupancy)))
+        run_start = np.searchsorted(k, owner)
+        run_count = np.searchsorted(k, owner, side="right") - run_start
+        # a copy re-sums about as many contributions as its point's base window holds
+        load = np.bincount(k, weights=occupancy[pixel], minlength=n)[owner]
+
+        def cells(u):
+            return np.hstack(_window_bounds(u, cfg.radius, h, w))
+
+        def patch(j):
+            o = owner[j]
+            new_copy, new_pix, new_weight = _contributions(us[j], zs[j], vs[j], cfg, h, w)
+            old_copy = np.repeat(np.arange(len(o)), run_count[j])
+            old_pix = pixel[_ranges(run_start[j], run_count[j])]
+            new_keys = new_copy * hw + new_pix
+            keys = np.sort(np.concatenate((old_copy * hw + old_pix, new_keys)))
+            keys = keys[np.diff(keys, prepend=-1) != 0]
+            copy, pix = np.divmod(keys, hw)
+            # every other contributor of an affected pixel keeps its base weight and order
+            count = pm_start[pix + 1] - pm_start[pix]
+            seg = np.repeat(np.arange(keys.size), count)
+            pos = _ranges(pm_start[pix], count)
+            point = pm_point[pos]
+            others = point != o[copy[seg]]
+            seg, point, weight = seg[others], point[others], pm_weight[pos][others]
+            # the moved point's new contributions go in at its place in each pixel's point order
+            new_seg = np.searchsorted(keys, new_keys)
+            at = np.searchsorted(seg * n + point, new_seg * n + o[new_copy])
+            seg = np.insert(seg, at, new_seg)
+            point = np.insert(point, at, o[new_copy])
+            weight = np.insert(weight, at, new_weight)
+            den = np.bincount(seg, weights=weight, minlength=keys.size)
+            num = np.stack([np.bincount(seg, weights=weight * feats[:, ch][point], minlength=keys.size)
+                            for ch in range(c)], axis=1)
+            return copy, pix, num / (den + cfg.eps_norm)[:, None]
+    else:
+        aux = None
+        u0, z0, v0 = project_points(cam, cloud.points)
+        pix, idx, head = _depth_runs(u0, z0, v0, h, w)
+        base = np.zeros((hw, c), dtype=np.float64)
+        base[pix[head]] = feats[idx[head]]
+        # per pixel the winner and the runner-up, so a left-out winner has a successor
+        best = np.full(hw, -1)
+        best[pix[head]] = idx[head]
+        second = np.flatnonzero(head[:-1] & ~head[1:]) + 1
+        runner = np.full(hw, -1)
+        runner[pix[second]] = idx[second]
+        bin0 = np.full(n, -1)
+        bin0[idx] = pix
+        won0 = np.zeros(n, dtype=bool)
+        won0[idx[head]] = True
+
+        def best_other(b, o):
+            return np.where(best[b] == o, runner[b], best[b])
+
+        rows, bins = _pixel_bins(us, vs, h, w)
+        o = owner[rows]
+        rival = best_other(bins, o)
+        zr = z0[rival]
+        won = np.zeros(len(owner), dtype=bool)
+        won[rows] = (rival < 0) | (zs[rows] < zr) | ((zs[rows] == zr) & (o < rival))
+        bin1 = np.full(len(owner), -1)
+        bin1[rows] = bins
+        # a copy patches at most two rows, so one chunk holds every copy
+        load = np.zeros(len(owner))
+
+        def cells(u):
+            return np.floor(u)
+
+        def patch(j):
+            # the old bin, if the point left it, falls to its best other member;
+            # the new bin takes the point if it wins there
+            o, b0, b1 = owner[j], bin0[owner[j]], bin1[j]
+            left = np.flatnonzero((b0 >= 0) & (b0 != b1))
+            other = best_other(b0[left], o[left])
+            rows0 = np.where((other >= 0)[:, None], feats[other], 0.0)
+            came = np.flatnonzero(b1 >= 0)
+            rows1 = np.where(won[j][came][:, None], feats[o[came]], feats[best_other(b1[came], o[came])])
+            copy = np.concatenate((left, came))
+            order = np.argsort(copy, kind="stable")
+            return (copy[order], np.concatenate((b0[left], b1[came]))[order],
+                    np.concatenate((rows0, rows1))[order])
+
+    moved = ~vs
+    moved[vs] = (cells(us[vs]) != cells(u0[owner[vs]])).any(axis=1)
+    if mode == "hard":
+        moved |= won != won0[owner]
+
+    # grid * mask is elementwise, so a copy's products differ from the base's only where
+    # it patches; each copy patches the one product buffer, sums it whole and restores it
+    mask = mask.reshape(hw, c)
+    product = base * mask
+    loss = float(product.sum() / mask.size)
+    losses = np.empty(len(owner), dtype=np.float64)
+    starts = np.flatnonzero(np.diff(np.cumsum(load) // _PROBE_CHUNK_ENTRIES, prepend=-1))
+    for start, stop in zip(starts, np.append(starts[1:], len(owner))):
+        copy, pix, rows = patch(slice(start, stop))
+        rows *= mask[pix]
+        edges = np.searchsorted(copy, np.arange(stop - start + 1))
+        for t in range(stop - start):
+            at = pix[edges[t] : edges[t + 1]]
+            saved = product[at]
+            product[at] = rows[edges[t] : edges[t + 1]]
+            losses[start + t] = product.sum() / mask.size
+            product[at] = saved
+    return loss, losses, moved, aux
 
 
 def rasterize_hard(cloud: PointCloud, cam: CameraModel, mode: str = "depth") -> FeatureGrid:

@@ -1,12 +1,28 @@
 """Tests for splatlab.nnprims: EdgeConv, cross-attention, the gradient-flow
 probe, and counterfactual ablation."""
 
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from splatlab import splatting
 from splatlab.errors import InvalidInputError
-from splatlab.geometry import CameraModel, PointCloud, front_camera, gen_sphere, knn
+from splatlab.geometry import (
+    CULL_DEPTH,
+    CameraModel,
+    PointCloud,
+    ccm_features,
+    front_camera,
+    gen_sphere,
+    knn,
+    project_points,
+)
 from splatlab.nnprims import (
+    PROBE_STEP_PX,
     AblationParams,
     AttentionParams,
     MlpParams,
@@ -16,7 +32,10 @@ from splatlab.nnprims import (
     edgeconv_forward,
     grad_flow_probe,
 )
-from splatlab.splatting import SplatConfig
+from splatlab.splatting import SplatConfig, _scatter_min_depth, splat_backward, splat_forward
+
+# seeded, so every run draws the same examples and writes no example database
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def naive_edgeconv(points, indices, params):
@@ -252,6 +271,160 @@ def test_probe_report_serializes():
     assert d["mode"] == "hard"
     assert "summary" in d and "provenance" in d
     assert d["provenance"]["seed"] == 2
+
+
+def resplat_probe(cloud, cam, cfg, mode, seed):
+    """grad_flow_probe by full re-splats: one splat_forward or z-buffer scatter per stepped cloud.
+
+    A hard coordinate is unstable when a step culls its point, moves its
+    floor(u) cell, or changes whether the point wins its bin, which is decided
+    here by brute force over the bin's members.
+    """
+    feats = ccm_features(cloud)
+    pts = cloud.points
+    n = len(pts)
+    h, w = cam.resolution
+    mask = np.random.default_rng(seed).random((h, w, feats.shape[1]))
+    _, z0, valid0 = project_points(cam, pts)
+    steps = PROBE_STEP_PX * np.where(valid0, z0, 1.0) / (0.5 * (cam.focal[0] + cam.focal[1]))
+
+    def loss_of(p):
+        if mode == "hard":
+            data, _ = _scatter_min_depth(p, feats, cam)
+        else:
+            data = splat_forward(PointCloud(p), feats, cam, cfg)[0].data
+        return float((data * mask).sum() / mask.size)
+
+    def cells(p, i):
+        u, z, valid = project_points(cam, p)
+        if not valid[i]:
+            return None
+        if mode == "soft":
+            lo = np.maximum(np.ceil(u[i] - cfg.radius - 0.5), 0.0)
+            hi = np.minimum(np.floor(u[i] + cfg.radius - 0.5), [w - 1, h - 1])
+            return tuple(lo) + tuple(hi)
+        on = valid & (u[:, 0] >= 0) & (u[:, 0] < w) & (u[:, 1] >= 0) & (u[:, 1] < h)
+        same = [k for k in np.flatnonzero(on) if (np.floor(u[k]) == np.floor(u[i])).all()]
+        return tuple(np.floor(u[i])) + (bool(on[i]) and min(same, key=lambda k: (z[k], k)) == i,)
+
+    fd = np.zeros((n, 3))
+    unstable = np.zeros((n, 3), dtype=bool)
+    for i in np.flatnonzero(valid0):
+        for axis in range(3):
+            plus, minus = pts.copy(), pts.copy()
+            plus[i, axis] += steps[i]
+            minus[i, axis] -= steps[i]
+            fd[i, axis] = (loss_of(plus) - loss_of(minus)) / (2.0 * steps[i])
+            base = cells(pts, i)
+            unstable[i, axis] = cells(plus, i) != base or cells(minus, i) != base
+
+    stable = ~unstable & valid0[:, None]
+    summary = {"n_coords": 3 * n, "n_stable": int(stable.sum()),
+               "n_unstable": int((unstable & valid0[:, None]).sum()), "n_culled": int((~valid0).sum() * 3)}
+    analytic = None
+    if mode == "hard":
+        summary["stable_zero_fd_fraction"] = float((fd[stable] == 0.0).mean()) if stable.any() else 1.0
+        summary["max_abs_fd_stable"] = float(np.abs(fd[stable]).max()) if stable.any() else 0.0
+    else:
+        _, aux = splat_forward(cloud, feats, cam, cfg)
+        analytic = splat_backward(aux, cloud, feats, mask / mask.size).d_points
+        norms = np.linalg.norm(analytic, axis=1)
+        summary["median_grad_norm"] = float(np.median(norms))
+        summary["max_grad_norm"] = float(norms.max())
+        ratio = np.abs(analytic[stable] - fd[stable]) / (1e-9 + 1e-5 * np.abs(fd[stable]))
+        summary["max_err_ratio"] = float(ratio.max()) if stable.any() else 0.0
+    return loss_of(pts), fd, analytic, unstable, summary
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 12), h=st.integers(1, 16), w=st.integers(1, 16),
+       sigma=st.floats(0.3, 3.0), radius=st.integers(1, 6), depth_weighting=st.booleans(),
+       culled=st.floats(0.0, 0.4), twins=st.integers(0, 3), px=st.integers(-2, 34), py=st.integers(-2, 34),
+       near=st.booleans())
+def test_probe_matches_resplat_oracle_bitwise(seed, n, h, w, sigma, radius, depth_weighting, culled, twins,
+                                              px, py, near):
+    """The locally patched probe equals the full re-splat probe bit for bit, in both modes.
+
+    Points spill off the grid and its windows clip, and some are culled. The
+    principal point sits on a pixel corner or centre from -0.5 to the far side
+    + 0.5, and the last point projects exactly onto it, where an x or y step
+    moves its bin or window. ``twins`` points sit on the last one, at its depth
+    or 1e-6 behind it (less than a z step), so z steps swap z-buffer winners. ``near`` puts the first point
+    so close to the camera plane that its -z step culls it.
+    """
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1.4, 1.4, size=(n, 3))
+    pts[rng.random(n) < culled, 2] = -9.0
+    front = front_camera((h, w), 3.0, 0.85)
+    cam = CameraModel(front.focal, (px % (2 * w + 3) / 2 - 0.5, py % (2 * h + 3) / 2 - 0.5), front.rotation,
+                      front.translation, (h, w))
+    pts[-1, :2] = 0.0
+    for k in rng.choice(n - 1, size=min(twins, n - 1), replace=False):
+        pts[k] = pts[-1] + [0.0, 0.0, 1e-6 * rng.integers(2)]
+    if near:
+        pts[0] = [0.0, 0.0, CULL_DEPTH * 1.000001 - cam.translation[2]]
+    cloud = PointCloud(pts, rng.random((n, 3)))
+    cfg = SplatConfig(sigma=sigma, radius=radius, depth_weighting=depth_weighting)
+    for mode in ("hard", "soft"):
+        if not project_points(cam, pts)[2].any():
+            with pytest.raises(InvalidInputError):
+                grad_flow_probe(cloud, cam, cfg, mode, seed)
+            continue
+        got = grad_flow_probe(cloud, cam, cfg, mode, seed)
+        loss, fd, analytic, unstable, summary = resplat_probe(cloud, cam, cfg, mode, seed)
+        assert got.loss == loss
+        assert np.array_equal(got.fd, fd)
+        assert (got.analytic is None) == (analytic is None)
+        assert analytic is None or np.array_equal(got.analytic, analytic)
+        assert np.array_equal(got.unstable, unstable)
+        assert got.summary == summary
+
+
+def test_probe_flags_zbuffer_winner_swap():
+    """Two points share a pixel with a depth gap below the step: a z step swaps the winner.
+
+    The swap changes the grid, so both z coordinates must be flagged, and the
+    stable ones keep an exactly zero FD.
+    """
+    cam = _probe_cam(16)
+    near = np.array([0.1, 0.1, 0.2])
+    cloud = PointCloud(np.stack([near, near + [0.0, 0.0, 5e-6]]))
+    z = project_points(cam, cloud.points)[1]
+    assert np.all(np.diff(z) < PROBE_STEP_PX * z / cam.focal[0])
+    rep = grad_flow_probe(cloud, cam, SplatConfig(), "hard", seed=0)
+    assert rep.unstable[:, 2].all() and not rep.unstable[:, :2].any()
+    assert (rep.fd[:, 2] != 0.0).all()
+    assert rep.summary["stable_zero_fd_fraction"] == 1.0
+    assert rep.summary["max_abs_fd_stable"] == 0.0
+
+
+def test_probe_patches_instead_of_resplatting(monkeypatch):
+    """Soft splats the cloud once, hard scatters it at most once; projections do not grow with N."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("splat_forward", "_scatter_min_depth", "project_points"):
+        fn = getattr(splatting, name)
+        wrapper = counted(name, fn)
+        for mod in [m for key, m in sys.modules.items() if key.split(".")[0] == "splatlab"]:
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, wrapper)
+
+    projections = {}
+    for n in (8, 32):
+        for mode in ("soft", "hard"):
+            calls.clear()
+            grad_flow_probe(gen_sphere(n, 3), _probe_cam(), SplatConfig(), mode, seed=0)
+            assert calls["splat_forward"] == (mode == "soft")
+            assert calls["_scatter_min_depth"] <= 1
+            projections[n, mode] = calls["project_points"]
+    assert projections[8, "soft"] == projections[32, "soft"]
+    assert projections[8, "hard"] == projections[32, "hard"]
 
 
 def test_ablate_zero_value_projection_insensitive():

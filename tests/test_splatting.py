@@ -18,6 +18,7 @@ from splatlab.geometry import CameraModel, PointCloud, camera_coords, front_came
 from splatlab.infotheory import PMI_FLOOR, pmi_field
 from splatlab.splatting import (
     SplatConfig,
+    _scatter_min_depth,
     hard_hit_count,
     rasterize_hard,
     soft_density,
@@ -399,6 +400,36 @@ def test_rasterize_hard_ccm_matches_bruteforce():
             if owner[row, col] >= 0:
                 expected[row, col] = feats[owner[row, col]]
     np.testing.assert_array_equal(grid.data, expected)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), h=st.integers(1, 8), w=st.integers(1, 8),
+       levels=st.integers(1, 6), culled=st.floats(0.0, 0.5))
+def test_zbuffer_matches_bruteforce_argmin(seed, n, h, w, levels, culled):
+    """Each pixel takes the row of its lowest (z, index) member, also among coincident points.
+
+    Coordinates snap to a lattice of ``levels`` values per axis, so points
+    coincide and depths tie; some points are culled and some fall off the grid.
+    """
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(0, levels, size=(n, 3)) / max(levels - 1, 1) * 2.4 - 1.2
+    pts[rng.random(n) < culled, 2] = -9.0
+    feats = rng.random((n, 2))
+    cam = front_camera((h, w), 3.0, 0.85)
+    data, empty = _scatter_min_depth(pts, feats, cam)
+
+    u, z, valid = project_points(cam, pts)
+    expected = np.zeros((h, w, 2))
+    hit = False
+    for row in range(h):
+        for col in range(w):
+            members = [k for k in range(n) if valid[k]
+                       and math.floor(u[k, 0]) == col and math.floor(u[k, 1]) == row]
+            if members:
+                expected[row, col] = feats[min(members, key=lambda k: (z[k], k))]
+                hit = True
+    assert np.array_equal(data, expected)
+    assert empty == (not hit)
 
 
 def test_rasterize_hard_empty_flag():
