@@ -28,6 +28,10 @@ FRONT_DISTANCE = 3.0
 FRONT_FILL = 0.85
 # largest pixel grid a camera may have: 2**26 float64 pixels are 512 MB per channel
 MAX_PIXELS = 2**26
+# row-blocked kernels (knn, nearest-neighbor scans, attention) size each block's
+# temporary to about 1 MB so it stays in cache
+_CHUNK_BYTES = 2**20
+_MIN_CHUNK_ROWS = 64
 
 
 def _as_points(arr) -> np.ndarray:
@@ -263,31 +267,67 @@ def normalize_kitti(cloud: PointCloud, bbox: BBox3D) -> PointCloud:
     return cloud.with_points(pts[:, [0, 2, 1]])
 
 
+def _row_chunks(n_rows: int, bytes_per_row: int):
+    """Slices covering range(n_rows) in order, each block's temporary about _CHUNK_BYTES.
+
+    Blocks never drop below _MIN_CHUNK_ROWS rows (except the tail): a block of
+    one row turns a BLAS gemm into a gemv, whose sums round differently.
+    """
+    step = max(_MIN_CHUNK_ROWS, _CHUNK_BYTES // max(bytes_per_row, 1))
+    for start in range(0, n_rows, step):
+        yield slice(start, min(n_rows, start + step))
+
+
+def _sq_dist_rows(a: np.ndarray, b: np.ndarray):
+    """Yield (rows, d2) per row block of a, d2[i, j] the squared distance from a[rows][i] to b[j].
+
+    The sum order (dx*dx + dz*dz) + dy*dy is the one numpy's
+    einsum("ijk,ijk->ij") takes over the three coordinates, so the entries
+    are bit-equal to it while built only from correctly rounded elementwise
+    ops. Each block holds about _CHUNK_BYTES of distances.
+    """
+    bt = b.T.copy()
+    for rows in _row_chunks(a.shape[0], 8 * b.shape[0]):
+        ar = a[rows]
+        d2 = ar[:, 0, None] - bt[0]
+        d2 *= d2
+        for axis in (2, 1):
+            t = ar[:, axis, None] - bt[axis]
+            t *= t
+            d2 += t
+        yield rows, d2
+
+
 def knn(cloud: PointCloud, k: int) -> NeighborGraph:
     """Exact k nearest neighbors by Euclidean distance.
 
     The query point itself is excluded while the cloud has more than k points;
     when N <= k every other point appears (nearest first) and the remaining
     slots are padded with the query's own index. Distance ties break toward
-    the lower point index.
+    the lower point index. The (N, k) index table may hold at most MAX_PIXELS
+    entries.
     """
-    if k < 1:
-        raise InvalidInputError("k must be >= 1")
     pts = cloud.points
     n = pts.shape[0]
+    if k < 1:
+        raise InvalidInputError("k must be >= 1")
+    if k > MAX_PIXELS // n:
+        raise InvalidInputError(f"k must keep the (N, k) neighbor table within {MAX_PIXELS} entries")
     m = min(k, n - 1)  # neighbors that are other points; any slots past m hold the query
     out = np.empty((n, k), dtype=np.int64)
-    chunk = max(1, int(2**20 // max(n, 1)))
-    for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
-        diff = pts[start:stop, None, :] - pts[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        rows = np.arange(start, stop)
-        d2[rows - start, rows] = np.inf
-        # named so it lives until the next chunk; freeing it at once cost the eval benchmark 16 MB of peak RSS
-        order = np.argsort(d2, axis=1, kind="stable")
-        out[start:stop, :m] = order[:, :m]
-        out[start:stop, m:] = rows[:, None]
+    for rows, d2 in _sq_dist_rows(pts, pts):
+        own = np.arange(rows.start, rows.stop)
+        d2[own - rows.start, own] = np.inf
+        out[rows, m:] = own[:, None]
+        if m:
+            # every entry up to each row's m-th smallest distance, ties included,
+            # sorted by (row, distance); lexsort is stable, so equal distances keep
+            # nonzero's ascending column order
+            thr = np.partition(d2, m - 1, axis=1)[:, m - 1]
+            r, c = np.nonzero(d2 <= thr[:, None])
+            order = np.lexsort((d2[r, c], r))
+            first = np.searchsorted(r, np.arange(own.shape[0]))
+            out[rows, :m] = c[order][first[:, None] + np.arange(m)]
     return NeighborGraph(k=k, indices=out)
 
 

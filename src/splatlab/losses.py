@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import PointCloud
+from .geometry import PointCloud, _sq_dist_rows
 
 ARC_GRAD_CAP = 1e6
 
@@ -44,22 +44,19 @@ def _points_of(x) -> np.ndarray:
     return pts
 
 
-def _nn_sq(a: np.ndarray, b: np.ndarray, chunk: int = 512) -> tuple[np.ndarray, np.ndarray]:
+def _nn_sq(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row of a: (squared distance to, index of) the nearest row of b.
 
-    Chunked over query rows; each chunk's argmin is the plain first-occurrence
-    argmin, so results are identical to the row-at-a-time loop.
+    Streams row blocks of the exact distance kernel; each block's argmin is
+    the plain first-occurrence argmin, so results are identical to the
+    row-at-a-time loop.
     """
-    n = a.shape[0]
-    d = np.empty(n, dtype=np.float64)
-    idx = np.empty(n, dtype=np.int64)
-    for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
-        diff = a[start:stop, None, :] - b[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    d = np.empty(a.shape[0], dtype=np.float64)
+    idx = np.empty(a.shape[0], dtype=np.int64)
+    for rows, d2 in _sq_dist_rows(a, b):
         best = np.argmin(d2, axis=1)
-        idx[start:stop] = best
-        d[start:stop] = d2[np.arange(stop - start), best]
+        idx[rows] = best
+        d[rows] = d2.min(axis=1)
     return d, idx
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InternalConsistencyError, InvalidInputError
-from .geometry import CameraModel, NeighborGraph, PointCloud, ccm_features, knn, project_points
+from .geometry import CameraModel, NeighborGraph, PointCloud, _row_chunks, ccm_features, knn, project_points
 from .splatting import SplatConfig, _stepped_losses, splat_backward, splat_forward
 
 EDGECONV_HIDDEN = 32
@@ -162,6 +162,10 @@ def cross_attention(f_geo: np.ndarray, visual: np.ndarray, params: AttentionPara
     rows of the score matrix softmaxed independently. With ``upstream``
     (dL/dout, same shape as out) provided, returns (out, CrossAttentionGrads)
     with exact gradients for both token matrices and all three projections.
+
+    Score rows are streamed in blocks of at least 64 rows (``geometry._row_chunks``),
+    so no N x HW array is built; ``d_visual``, ``d_w_k`` and ``d_w_v`` sum
+    their per-block parts. At least one visual token is required.
     """
     geo = np.asarray(f_geo, dtype=np.float64)
     vis = np.asarray(visual, dtype=np.float64)
@@ -177,27 +181,45 @@ def cross_attention(f_geo: np.ndarray, visual: np.ndarray, params: AttentionPara
     if params.w_k.shape[1] != d:
         raise InvalidInputError("w_q and w_k must share the projection width")
 
+    if vis.shape[0] < 1:
+        raise InvalidInputError("cross-attention needs at least one visual token")
+    g = None
+    if upstream is not None:
+        g = np.asarray(upstream, dtype=np.float64)
+        if g.shape != geo.shape:
+            raise InvalidInputError(f"upstream must have shape {geo.shape}, got {g.shape}")
+
     q = geo @ params.w_q
     key = vis @ params.w_k
     val = vis @ params.w_v
-    scores = (q @ key.T) / math.sqrt(d)
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    expw = np.exp(shifted)
-    attn = expw / expw.sum(axis=1, keepdims=True)
-    out = geo + attn @ val
-    if upstream is None:
+    scale = math.sqrt(d)
+    out = np.empty_like(geo)
+    if g is not None:
+        d_q = np.empty_like(q)
+        d_key = np.zeros_like(key)
+        d_val = np.zeros_like(val)
+    # one block of score rows at a time; row-wise max, exp, sum and matmul rows
+    # come out the same as over the whole N x HW matrix
+    for rows in _row_chunks(geo.shape[0], 8 * vis.shape[0]):
+        attn = q[rows] @ key.T
+        attn /= scale
+        attn -= attn.max(axis=1, keepdims=True)
+        np.exp(attn, out=attn)
+        attn /= attn.sum(axis=1, keepdims=True)
+        out[rows] = geo[rows] + attn @ val
+        if g is None:
+            continue
+        d_val += attn.T @ g[rows]
+        # softmax backward per row: dS = P * (dP - sum(dP * P))
+        d_scores = g[rows] @ val.T
+        d_scores -= (d_scores * attn).sum(axis=1, keepdims=True)
+        d_scores *= attn
+        d_scores /= scale
+        d_q[rows] = d_scores @ key
+        d_key += d_scores.T @ q[rows]
+    if g is None:
         return out
 
-    g = np.asarray(upstream, dtype=np.float64)
-    if g.shape != out.shape:
-        raise InvalidInputError(f"upstream must have shape {out.shape}, got {g.shape}")
-    d_val = attn.T @ g
-    d_attn = g @ val.T
-    # softmax backward per row: dS = P * (dP - sum(dP * P))
-    d_scores = attn * (d_attn - (d_attn * attn).sum(axis=1, keepdims=True))
-    d_scores /= math.sqrt(d)
-    d_q = d_scores @ key
-    d_key = d_scores.T @ q
     d_geo = g + d_q @ params.w_q.T
     d_visual = d_key @ params.w_k.T + d_val @ params.w_v.T
     grads = CrossAttentionGrads(

@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splatlab.errors import InvalidInputError
 from splatlab.geometry import (
+    MAX_PIXELS,
     BBox3D,
     CameraModel,
     PointCloud,
@@ -23,6 +26,36 @@ from splatlab.geometry import (
     project_point,
     project_points,
 )
+from splatlab.losses import _nn_sq
+
+
+def brute_nn_sq(a, b, chunk=512):
+    """Nearest row of b per row of a by einsum over the all-pairs differences; first index on ties."""
+    d = np.empty(a.shape[0])
+    idx = np.empty(a.shape[0], dtype=np.int64)
+    for start in range(0, a.shape[0], chunk):
+        diff = a[start:start + chunk, None, :] - b[None, :, :]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        best = np.argmin(d2, axis=1)
+        idx[start:start + chunk] = best
+        d[start:start + chunk] = d2[np.arange(len(best)), best]
+    return d, idx
+
+
+def brute_knn(points, k):
+    """Stable argsort of each einsum distance row, self excluded, self-padded when N <= k."""
+    n = points.shape[0]
+    m = min(k, n - 1)
+    out = np.empty((n, k), dtype=np.int64)
+    chunk = max(1, 2**20 // n)
+    for start in range(0, n, chunk):
+        rows = np.arange(start, min(n, start + chunk))
+        diff = points[rows, None, :] - points[None, :, :]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        d2[rows - start, rows] = np.inf
+        out[rows, :m] = np.argsort(d2, axis=1, kind="stable")[:, :m]
+        out[rows, m:] = rows[:, None]
+    return out
 
 
 def _identity_cam(focal=(1.0, 1.0), principal=(0.0, 0.0), resolution=(8, 8)):
@@ -255,13 +288,60 @@ def test_knn_matches_bruteforce():
     rng = np.random.default_rng(12)
     pts = rng.normal(size=(64, 3))
     graph = knn(PointCloud(pts), 4)
+    np.testing.assert_array_equal(graph.indices, brute_knn(pts, 4))
 
-    diff = pts[:, None, :] - pts[None, :, :]
-    d2 = (diff * diff).sum(axis=2)
-    np.fill_diagonal(d2, np.inf)
-    for i in range(64):
-        order = np.argsort(d2[i], kind="stable")[:4]
-        np.testing.assert_array_equal(graph.indices[i], order)
+
+def _tie_cloud(kind, n, seed):
+    """n points with many exactly equal distances: lattice, duplicated, or random with planted twins."""
+    rng = np.random.default_rng(seed)
+    if kind == "lattice":
+        side = int(np.ceil(n ** (1 / 3))) + 1
+        grid = np.stack(np.meshgrid(*[np.arange(side) * 0.25] * 3, indexing="ij"), -1).reshape(-1, 3)
+        return grid[rng.permutation(len(grid))[:n]] - 0.5
+    if kind == "duplicates":
+        return rng.integers(-2, 3, size=(n, 3)) * 0.5
+    pts = rng.normal(size=(n, 3))
+    twins = rng.integers(0, n, size=n // 4)
+    pts[rng.integers(0, n, size=n // 4)] = pts[twins]
+    return pts
+
+
+EXACT_NN = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@settings(EXACT_NN, max_examples=25)
+@given(kind=st.sampled_from(["lattice", "duplicates", "twins"]), seed=st.integers(0, 2**31 - 1),
+       n=st.one_of(st.integers(1, 24), st.sampled_from([64 * 32 - 1, 64 * 32 + 1, 64 * 33 + 1])),
+       k=st.one_of(st.just(1), st.integers(1, 30)))
+def test_knn_bit_equal_to_bruteforce_with_ties(kind, seed, n, k):
+    """knn equals the stable-argsort oracle on clouds full of exact ties, N <= k and N = 1 included.
+
+    From 2,048 points on the distance rows stream in 64-row blocks, so the
+    large sizes end one row past a block boundary or one row short of it.
+    """
+    pts = _tie_cloud(kind, n, seed)
+    assert np.array_equal(knn(PointCloud(pts), k).indices, brute_knn(pts, k))
+
+
+@EXACT_NN
+@given(kind=st.sampled_from(["lattice", "duplicates", "twins"]), seed=st.integers(0, 2**31 - 1),
+       j=st.integers(0, 34), off=st.integers(-1, 1), n_b=st.sampled_from([1, 7, 2048, 2300]))
+def test_nn_sq_bit_equal_to_bruteforce_with_ties(kind, seed, j, off, n_b):
+    """Distances and first-index argmins equal the einsum oracle, both ways, at 64 j +- 1 query rows."""
+    a = _tie_cloud(kind, max(1, 64 * j + off), seed)
+    b = _tie_cloud(kind, n_b, seed + 1)
+    for x, y in ((a, b), (b, a)):
+        d, idx = _nn_sq(x, y)
+        want_d, want_idx = brute_nn_sq(x, y)
+        assert np.array_equal(d, want_d) and np.array_equal(idx, want_idx)
+
+
+def test_knn_rejects_an_index_table_past_max_pixels():
+    cloud = gen_sphere(10, 0)
+    for k in (10**12, 2**62, np.int64(2**62), MAX_PIXELS // 10 + 1):
+        with pytest.raises(InvalidInputError):
+            knn(cloud, k)
+    assert knn(cloud, 20).indices.shape == (10, 20)
 
 
 def test_knn_permutation_equivariance():

@@ -2,6 +2,7 @@
 probe, and counterfactual ablation."""
 
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -18,6 +19,7 @@ from splatlab.geometry import (
     ccm_features,
     front_camera,
     gen_sphere,
+    _row_chunks,
     knn,
     project_points,
 )
@@ -194,6 +196,58 @@ def test_attention_softmax_rows_sum_to_one():
     assert grads is not None
     assert np.isfinite(grads.d_geo).all()
     assert np.isfinite(grads.d_visual).all()
+
+
+def unchunked_attention_backward(geo, visual, params, upstream):
+    """The five attention gradients from the whole N x HW softmax at once."""
+    q, key, val = geo @ params.w_q, visual @ params.w_k, visual @ params.w_v
+    scale = np.sqrt(params.w_q.shape[1])
+    p = np.exp(q @ key.T / scale - (q @ key.T / scale).max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    d_p = upstream @ val.T
+    d_s = p * (d_p - (d_p * p).sum(axis=1, keepdims=True)) / scale
+    d_q, d_key, d_val = d_s @ key, d_s.T @ q, p.T @ upstream
+    return {"d_geo": upstream + d_q @ params.w_q.T,
+            "d_visual": d_key @ params.w_k.T + d_val @ params.w_v.T,
+            "d_w_q": geo.T @ d_q, "d_w_k": visual.T @ d_key, "d_w_v": visual.T @ d_val}
+
+
+def test_attention_streams_blocks_with_a_short_tail():
+    """200 rows over 2,048 visual tokens run as 64-row blocks and an 8-row tail."""
+    rng = np.random.default_rng(11)
+    geo = rng.normal(size=(200, 6))
+    visual = rng.random((2048, 3))
+    params = AttentionParams.init(6, 3, 5, seed=12)
+    assert [r.stop - r.start for r in _row_chunks(200, 8 * 2048)] == [64, 64, 64, 8]
+    upstream = rng.normal(size=geo.shape)
+    out, grads = cross_attention(geo, visual, params, upstream=upstream)
+    np.testing.assert_allclose(out, naive_attention(geo, visual, params), rtol=0, atol=1e-12)
+    assert np.array_equal(cross_attention(geo, visual, params), out)
+    for name, want in unchunked_attention_backward(geo, visual, params, upstream).items():
+        np.testing.assert_allclose(getattr(grads, name), want, rtol=1e-12, atol=0, err_msg=name)
+    assert np.array_equal(cross_attention(geo, np.zeros_like(visual), params), geo)
+
+
+def test_attention_memory_stays_below_one_score_matrix():
+    """1024 x 4096 scores are 32 MB of float64; the streamed call peaks far below that."""
+    rng = np.random.default_rng(13)
+    geo = rng.normal(size=(1024, 16))
+    visual = rng.random((4096, 3))
+    params = AttentionParams.init(16, 3, 16, seed=14)
+    tracemalloc.start()
+    try:
+        cross_attention(geo, visual, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 1024 * 4096 / 4
+
+
+def test_attention_rejects_zero_visual_tokens():
+    """A softmax over no keys is undefined."""
+    params = AttentionParams.init(4, 3, 4, seed=0)
+    with pytest.raises(InvalidInputError):
+        cross_attention(np.ones((5, 4)), np.zeros((0, 3)), params)
 
 
 def test_attention_shape_validation():
