@@ -202,7 +202,8 @@ def unchunked_attention_backward(geo, visual, params, upstream):
     """The five attention gradients from the whole N x HW softmax at once."""
     q, key, val = geo @ params.w_q, visual @ params.w_k, visual @ params.w_v
     scale = np.sqrt(params.w_q.shape[1])
-    p = np.exp(q @ key.T / scale - (q @ key.T / scale).max(axis=1, keepdims=True))
+    scores = q @ key.T / scale
+    p = np.exp(scores - scores.max(axis=1, keepdims=True))
     p /= p.sum(axis=1, keepdims=True)
     d_p = upstream @ val.T
     d_s = p * (d_p - (d_p * p).sum(axis=1, keepdims=True)) / scale
