@@ -323,6 +323,17 @@ def _add_splat_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--depth-weighting", dest="depth_weighting", choices=("on", "off"))
 
 
+def _seed(text: str) -> int:
+    """--seed value: a non-negative integer, as numpy's generators need."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid seed {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file (sections: camera, splat, analysis)")
     p.add_argument("--no-normalize", dest="no_normalize", action="store_true",
@@ -338,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("sphere", "lidar"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--rays", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_synth)
 
@@ -377,14 +388,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p.add_argument("--instances", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", help="JSON report path")
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("probe", help="gradient-flow probe (hard or soft)")
     p.add_argument("--input", required=True)
     p.add_argument("--mode", choices=("hard", "soft"), required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     _add_common(p)
     _add_camera_flags(p)
@@ -393,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="counterfactual visual-token ablation")
     p.add_argument("--input", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--k", type=int, default=8)
     p.add_argument("--geo-dim", dest="geo_dim", type=int, default=16)
     p.add_argument("--proj-dim", dest="proj_dim", type=int, default=16)

@@ -199,7 +199,14 @@ class NeighborGraph:
 
 
 def camera_coords(cam: CameraModel, points: np.ndarray) -> np.ndarray:
-    """Apply the rigid extrinsics: p_cam = R p + t, row-wise."""
+    """Apply the rigid extrinsics: p_cam = R p + t, row-wise.
+
+    A row's result does not depend on how many rows come with it: numpy sends
+    a one-row matmul to gemv, whose sums round differently from gemm's, so a
+    single row is projected as a two-row block.
+    """
+    if points.shape[0] == 1:
+        return (np.repeat(points, 2, axis=0) @ cam.rotation.T + cam.translation)[:1]
     return points @ cam.rotation.T + cam.translation
 
 

@@ -18,17 +18,19 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import CameraModel, PointCloud, knn, project_points
+from .geometry import CameraModel, PointCloud, _row_chunks, _sq_dist_rows, knn, project_points
 from .losses import arc_cd, chamfer
 from .nnprims import (
     AttentionParams,
     EDGECONV_HIDDEN,
     MlpParams,
+    _attention_forward,
+    _edgeconv_body,
     cross_attention,
     edgeconv_backward,
     edgeconv_forward,
 )
-from .splatting import SplatConfig, splat_backward, splat_forward
+from .splatting import SplatConfig, _stepped_losses, splat_backward, splat_forward
 
 RTOL = 1e-5
 ATOL = 1e-9
@@ -42,19 +44,28 @@ def err_ratio(analytic: np.ndarray, fd: np.ndarray) -> float:
     return float(np.max(np.abs(a - f) / (ATOL + RTOL * np.abs(f)))) if a.size else 0.0
 
 
-def central_fd(fn, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
-    """Central finite differences of scalar fn over every entry of x."""
+def central_fd(fn, x: np.ndarray, h: float = FD_STEP, bytes_per_copy: int = 0) -> np.ndarray:
+    """Central finite differences (f(x + h e_i) - f(x - h e_i)) / (2h) over every entry of x.
+
+    fn maps a (B, *x.shape) stack of stepped copies of x to their B losses.
+    The 2 * x.size copies are +h then -h per entry, entries in C order, and
+    reach fn in blocks of about geometry._CHUNK_BYTES, counting the copy
+    itself plus ``bytes_per_copy`` for what fn holds per copy.
+    """
     x = np.asarray(x, dtype=np.float64)
-    g = np.zeros_like(x)
-    it = np.nditer(x, flags=["multi_index"])
-    for _ in it:
-        i = it.multi_index
-        xp = x.copy()
-        xp[i] += h
-        xm = x.copy()
-        xm[i] -= h
-        g[i] = (fn(xp) - fn(xm)) / (2.0 * h)
-    return g
+    m = x.size
+    f = np.empty(2 * m, dtype=np.float64)
+    for rows in _row_chunks(2 * m, x.nbytes + bytes_per_copy):
+        j = np.arange(rows.start, rows.stop)
+        block = np.repeat(x.reshape(1, m), j.size, axis=0)
+        # x + (-h) rounds exactly as x - h
+        block[np.arange(j.size), j // 2] += np.where(j % 2 == 0, h, -h)
+        f[rows] = fn(block.reshape(j.size, *x.shape))
+    return ((f[0::2] - f[1::2]) / (2.0 * h)).reshape(x.shape)
+
+
+def _worst(pairs) -> float:
+    return max(err_ratio(analytic, fd) for analytic, fd in pairs)
 
 
 def _rand_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -99,21 +110,33 @@ def _splat_instance(seed: int):
     return PointCloud(pts), feats, cam, cfg, upstream
 
 
-def check_splat(seed: int) -> float:
-    """Max err ratio over point, feature and sigma gradients for one instance."""
+def _splat_pairs(seed: int, fd=central_fd) -> list:
+    """(analytic, fd) gradients of one splat instance: points, features, sigma."""
     cloud, feats, cam, cfg, upstream = _splat_instance(seed)
     _, aux = splat_forward(cloud, feats, cam, cfg)
     bundle = splat_backward(aux, cloud, feats, upstream, with_sigma=True)
+    pts = cloud.points
 
-    def loss_from(c=cloud, f=feats, sigma=cfg.sigma):
-        g, _ = splat_forward(c, f, cam, replace(cfg, sigma=sigma))
-        return float((g.data * upstream).sum())
+    def point_sums(block):
+        # each copy moves one point, so the probe's patched re-splat gives its sum
+        copy, owner = np.nonzero((block != pts).any(axis=-1))
+        return _stepped_losses(cloud, feats, cam, cfg, "soft", upstream, block[copy, owner], owner)[1]
 
-    worst = err_ratio(bundle.d_points, central_fd(lambda p: loss_from(c=PointCloud(p)), cloud.points))
-    worst = max(worst, err_ratio(bundle.d_features, central_fd(lambda f: loss_from(f=f), feats)))
-    fd_sigma = central_fd(lambda s: loss_from(sigma=float(s[()])), np.array(cfg.sigma))
-    worst = max(worst, err_ratio(np.array(bundle.d_sigma), fd_sigma))
-    return worst
+    def loss(f=feats, sigma=cfg.sigma):
+        g, _ = splat_forward(cloud, f, cam, replace(cfg, sigma=sigma))
+        return (g.data * upstream).sum()
+
+    return [
+        (bundle.d_points, fd(point_sums, pts)),
+        (bundle.d_features, fd(lambda block: np.array([loss(f=f) for f in block]), feats)),
+        (np.array(bundle.d_sigma),
+         fd(lambda block: np.array([loss(sigma=float(s)) for s in block]), np.array(cfg.sigma))),
+    ]
+
+
+def check_splat(seed: int) -> float:
+    """Max err ratio over point, feature and sigma gradients for one instance."""
+    return _worst(_splat_pairs(seed))
 
 
 def _edgeconv_instance(seed: int):
@@ -135,39 +158,55 @@ def _edgeconv_instance(seed: int):
         sub += 1
 
 
-def check_edgeconv(seed: int) -> float:
+def _edgeconv_pairs(seed: int, fd=central_fd) -> list:
+    """(analytic, fd) gradients of one EdgeConv instance: points, w1, b1, w2, b2."""
     cloud, graph, params, upstream = _edgeconv_instance(seed)
     _, cache = edgeconv_forward(cloud, graph, params)
     d_points, d_params = edgeconv_backward(cache, upstream)
+    inputs = {"pts": cloud.points, "w1": params.w1, "b1": params.b1, "w2": params.w2, "b2": params.b2}
+    analytic = {"pts": d_points, "w1": d_params.w1, "b1": d_params.b1, "w2": d_params.w2, "b2": d_params.b2}
+    n, k = graph.indices.shape
+    per_copy = 8 * n * k * (6 + 3 * EDGECONV_HIDDEN)
 
-    def loss_from(c=cloud, p=params):
-        t, _ = edgeconv_forward(c, graph, p)
-        return float((t * upstream).sum())
+    def sums(name):
+        def fn(block):
+            tokens = _edgeconv_body(**{**inputs, name: block}, idx=graph.indices)[0]
+            return (tokens * upstream).reshape(len(block), -1).sum(axis=-1)
+        return fn
 
-    worst = err_ratio(d_points, central_fd(lambda x: loss_from(c=PointCloud(x)), cloud.points))
-    for name in ("w1", "b1", "w2", "b2"):
-        fd = central_fd(lambda x: loss_from(p=replace(params, **{name: x})), getattr(params, name))
-        worst = max(worst, err_ratio(getattr(d_params, name), fd))
-    return worst
+    return [(analytic[name], fd(sums(name), x, bytes_per_copy=per_copy)) for name, x in inputs.items()]
 
 
-def check_attention(seed: int) -> float:
+def check_edgeconv(seed: int) -> float:
+    return _worst(_edgeconv_pairs(seed))
+
+
+def _attention_pairs(seed: int, fd=central_fd) -> list:
+    """(analytic, fd) gradients of one cross-attention instance: both token matrices, w_q, w_k, w_v."""
     rng = np.random.default_rng(seed)
     geo = rng.standard_normal((5, 4))
     vis = rng.standard_normal((6, 3))
     params = AttentionParams.init(4, 3, 4, seed + 7)
     upstream = rng.standard_normal((5, 4))
     _, grads = cross_attention(geo, vis, params, upstream=upstream)
+    inputs = {"geo": geo, "vis": vis, "w_q": params.w_q, "w_k": params.w_k, "w_v": params.w_v}
+    analytic = {"geo": grads.d_geo, "vis": grads.d_visual, "w_q": grads.d_w_q, "w_k": grads.d_w_k,
+                "w_v": grads.d_w_v}
+    # q, key, val, the score rows and the output
+    n, hw, d = geo.shape[0], vis.shape[0], params.w_q.shape[1]
+    per_copy = 8 * (n * d + hw * d + hw * geo.shape[1] + n * hw + geo.size)
 
-    def loss_from(g=geo, v=vis, p=params):
-        return float((cross_attention(g, v, p) * upstream).sum())
+    def sums(name):
+        def fn(block):
+            out = _attention_forward(**{**inputs, name: block})
+            return (out * upstream).reshape(len(block), -1).sum(axis=-1)
+        return fn
 
-    worst = err_ratio(grads.d_geo, central_fd(lambda x: loss_from(g=x), geo))
-    worst = max(worst, err_ratio(grads.d_visual, central_fd(lambda x: loss_from(v=x), vis)))
-    for name in ("w_q", "w_k", "w_v"):
-        fd = central_fd(lambda x: loss_from(p=replace(params, **{name: x})), getattr(params, name))
-        worst = max(worst, err_ratio(getattr(grads, "d_" + name), fd))
-    return worst
+    return [(analytic[name], fd(sums(name), x, bytes_per_copy=per_copy)) for name, x in inputs.items()]
+
+
+def check_attention(seed: int) -> float:
+    return _worst(_attention_pairs(seed))
 
 
 def _chamfer_instance(seed: int, separated: bool):
@@ -178,32 +217,35 @@ def _chamfer_instance(seed: int, separated: bool):
         y = rng.uniform(0.0, 1.0, (7, 3))
         if separated:
             y = y + 1.5
-        ok = True
-        for a, b in ((x, y), (y, x)):
-            d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-            s = np.sort(d2, axis=1)
-            if a.shape[0] and (s[:, 1] - s[:, 0]).min() < 1e-3:
-                ok = False
-        if ok:
+        # the two nearest neighbours of every point in either direction differ by >= 1e-3
+        gaps = [np.diff(np.sort(d2, axis=1)[:, :2], axis=1).min()
+                for a, b in ((x, y), (y, x)) for _, d2 in _sq_dist_rows(a, b)]
+        if min(gaps) >= 1e-3:
             return x, y
         sub += 1
 
 
-def check_chamfer(seed: int) -> float:
+def _chamfer_pairs(seed: int, fd=central_fd) -> list:
     x, y = _chamfer_instance(seed, separated=False)
     grad = chamfer(x, y, with_grad=True).d_X
-    fd = central_fd(lambda p: chamfer(p, y).value, x)
-    return err_ratio(grad, fd)
+    return [(grad, fd(lambda block: np.array([chamfer(p, y).value for p in block]), x))]
 
 
-def check_arc_cd(seed: int) -> float:
+def check_chamfer(seed: int) -> float:
+    return _worst(_chamfer_pairs(seed))
+
+
+def _arc_cd_pairs(seed: int, fd=central_fd) -> list:
     x, y = _chamfer_instance(seed, separated=True)
     lam = float(np.random.default_rng(seed + 13).uniform(0.5, 2.0))
     res = arc_cd(x, y, lam, with_grad=True)
     if res.grad_clamped:
         raise AssertionError("arc_cd clamp engaged on a separated instance")
-    fd = central_fd(lambda p: arc_cd(p, y, lam).value, x)
-    return err_ratio(res.d_X, fd)
+    return [(res.d_X, fd(lambda block: np.array([arc_cd(p, y, lam).value for p in block]), x))]
+
+
+def check_arc_cd(seed: int) -> float:
+    return _worst(_arc_cd_pairs(seed))
 
 
 SUITES = {

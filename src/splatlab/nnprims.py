@@ -88,6 +88,26 @@ class EdgeConvCache:
     argmax: np.ndarray
 
 
+def _edgeconv_body(pts, idx, w1, b1, w2, b2) -> tuple[np.ndarray, ...]:
+    """EdgeConv forward, broadcast over any leading batch axes of the points and weights.
+
+    Each batch entry runs the same matmuls, sums and argmax as the unbatched
+    call, so its tokens are bit for bit those of edgeconv_forward on that
+    entry. Returns (tokens, edge_in, pre_act, hidden, argmax).
+    """
+    n, k = idx.shape
+    centers = np.repeat(pts[..., :, None, :], k, axis=-2)
+    rel = pts[..., idx, :] - centers
+    edge_in = np.concatenate([centers, rel], axis=-1).reshape(*pts.shape[:-2], n * k, 6)
+    pre_act = edge_in @ w1 + b1[..., None, :]
+    hidden = np.maximum(pre_act, 0.0)
+    edge_out = hidden @ w2 + b2[..., None, :]
+    edge_out = edge_out.reshape(*edge_out.shape[:-2], n, k, -1)
+    arg = np.argmax(edge_out, axis=-2)
+    tokens = np.take_along_axis(edge_out, arg[..., None, :], axis=-2)[..., 0, :]
+    return tokens, edge_in, pre_act, hidden, arg
+
+
 def edgeconv_forward(cloud: PointCloud, graph: NeighborGraph, params: MlpParams) -> tuple[np.ndarray, EdgeConvCache]:
     """Channelwise max over edge features h_i = max_j phi(p_i, p_j - p_i).
 
@@ -102,15 +122,7 @@ def edgeconv_forward(cloud: PointCloud, graph: NeighborGraph, params: MlpParams)
         raise InvalidInputError("graph and cloud sizes disagree")
     if idx.min() < 0 or idx.max() >= n:
         raise InvalidInputError("graph indices out of range")
-    k = graph.k
-    centers = np.repeat(pts[:, None, :], k, axis=1)
-    rel = pts[idx] - centers
-    edge_in = np.concatenate([centers, rel], axis=2).reshape(n * k, 6)
-    pre_act = edge_in @ params.w1 + params.b1
-    hidden = np.maximum(pre_act, 0.0)
-    edge_out = (hidden @ params.w2 + params.b2).reshape(n, k, -1)
-    arg = np.argmax(edge_out, axis=1)
-    tokens = np.take_along_axis(edge_out, arg[:, None, :], axis=1)[:, 0, :]
+    tokens, edge_in, pre_act, hidden, arg = _edgeconv_body(pts, idx, params.w1, params.b1, params.w2, params.b2)
     cache = EdgeConvCache(
         points=pts, indices=idx, params=params,
         edge_in=edge_in, pre_act=pre_act, hidden=hidden, argmax=arg,
@@ -155,6 +167,34 @@ class CrossAttentionGrads:
     d_w_v: np.ndarray
 
 
+def _attention_blocks(geo, q, key, val, out):
+    """Write out = geo + softmax(q key^T / sqrt(d)) val one block of score rows at a time.
+
+    Yields (rows, attn) per block, attn the block's softmax rows. Broadcasts
+    over any leading batch axes; row-wise max, exp, sum and matmul rows come
+    out the same as over the whole N x HW matrix, for every batch entry.
+    """
+    scale = math.sqrt(q.shape[-1])
+    key_t = np.swapaxes(key, -1, -2)
+    for rows in _row_chunks(q.shape[-2], 8 * key.shape[-2]):
+        attn = q[..., rows, :] @ key_t
+        attn /= scale
+        attn -= attn.max(axis=-1, keepdims=True)
+        np.exp(attn, out=attn)
+        attn /= attn.sum(axis=-1, keepdims=True)
+        out[..., rows, :] = geo[..., rows, :] + attn @ val
+        yield rows, attn
+
+
+def _attention_forward(geo, vis, w_q, w_k, w_v) -> np.ndarray:
+    """cross_attention's output, broadcast over any leading batch axes of the inputs."""
+    q, key, val = geo @ w_q, vis @ w_k, vis @ w_v
+    out = np.empty(np.broadcast_shapes(q.shape[:-2], key.shape[:-2], val.shape[:-2]) + geo.shape[-2:])
+    for _ in _attention_blocks(geo, q, key, val, out):
+        pass
+    return out
+
+
 def cross_attention(f_geo: np.ndarray, visual: np.ndarray, params: AttentionParams, upstream=None):
     """Residual single-head cross-attention.
 
@@ -189,26 +229,15 @@ def cross_attention(f_geo: np.ndarray, visual: np.ndarray, params: AttentionPara
         if g.shape != geo.shape:
             raise InvalidInputError(f"upstream must have shape {geo.shape}, got {g.shape}")
 
-    q = geo @ params.w_q
-    key = vis @ params.w_k
-    val = vis @ params.w_v
+    if g is None:
+        return _attention_forward(geo, vis, params.w_q, params.w_k, params.w_v)
+    q, key, val = geo @ params.w_q, vis @ params.w_k, vis @ params.w_v
     scale = math.sqrt(d)
     out = np.empty_like(geo)
-    if g is not None:
-        d_q = np.empty_like(q)
-        d_key = np.zeros_like(key)
-        d_val = np.zeros_like(val)
-    # one block of score rows at a time; row-wise max, exp, sum and matmul rows
-    # come out the same as over the whole N x HW matrix
-    for rows in _row_chunks(geo.shape[0], 8 * vis.shape[0]):
-        attn = q[rows] @ key.T
-        attn /= scale
-        attn -= attn.max(axis=1, keepdims=True)
-        np.exp(attn, out=attn)
-        attn /= attn.sum(axis=1, keepdims=True)
-        out[rows] = geo[rows] + attn @ val
-        if g is None:
-            continue
+    d_q = np.empty_like(q)
+    d_key = np.zeros_like(key)
+    d_val = np.zeros_like(val)
+    for rows, attn in _attention_blocks(geo, q, key, val, out):
         d_val += attn.T @ g[rows]
         # softmax backward per row: dS = P * (dP - sum(dP * P))
         d_scores = g[rows] @ val.T
@@ -217,8 +246,6 @@ def cross_attention(f_geo: np.ndarray, visual: np.ndarray, params: AttentionPara
         d_scores /= scale
         d_q[rows] = d_scores @ key
         d_key += d_scores.T @ q[rows]
-    if g is None:
-        return out
 
     d_geo = g + d_q @ params.w_q.T
     d_visual = d_key @ params.w_k.T + d_val @ params.w_v.T
@@ -304,9 +331,10 @@ def grad_flow_probe(cloud: PointCloud, cam: CameraModel, cfg: SplatConfig, mode:
     for axis in range(3):
         stepped[:, axis, 0, axis] += steps[vis]
         stepped[:, axis, 1, axis] -= steps[vis]
-    loss0, losses, moved, aux = _stepped_losses(cloud, feats, cam, cfg, mode, mask,
-                                                stepped.reshape(-1, 3), np.repeat(vis, 6))
-    losses = losses.reshape(-1, 3, 2)
+    total, sums, moved, aux = _stepped_losses(cloud, feats, cam, cfg, mode, mask,
+                                              stepped.reshape(-1, 3), np.repeat(vis, 6))
+    loss0 = total / mask.size
+    losses = (sums / mask.size).reshape(-1, 3, 2)
     fd = np.zeros((n, 3), dtype=np.float64)
     fd[vis] = (losses[:, :, 0] - losses[:, :, 1]) / (2.0 * steps[vis])[:, None]
     unstable = np.zeros((n, 3), dtype=bool)

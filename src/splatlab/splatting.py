@@ -365,17 +365,17 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 def _stepped_losses(cloud: PointCloud, feats: np.ndarray, cam: CameraModel, cfg: SplatConfig, mode: str,
                     mask: np.ndarray, stepped: np.ndarray, owner: np.ndarray) -> tuple:
-    """Masked-mean losses of the cloud's projection and of copies that each move one point.
+    """Masked sums of the cloud's projection and of copies that each move one point.
 
-    Copy j is the cloud with the valid row owner[j] moved to stepped[j]; the
-    loss is mean(grid * mask) over the soft splat (mode "soft") or the z-buffer
+    Copy j is the cloud with the valid row owner[j] moved to stepped[j]; its
+    sum is (grid * mask).sum() over the soft splat (mode "soft") or the z-buffer
     scatter (mode "hard") of the fixed ``feats``. Each copy patches the base
     grid where the moved point can change it: its old and new windows (soft,
     re-summed in ascending point order as splat_forward sums) or its old and
-    new bins (hard, the lowest (z, index) wins). The losses are bit for bit
+    new bins (hard, the lowest (z, index) wins). The sums are bit for bit
     those of a full re-splat of each copy.
 
-    Returns (loss, losses, moved, aux). moved[j] is set when the copy's point
+    Returns (total, sums, moved, aux). moved[j] is set when the copy's point
     is culled, shifts its clipped window (soft) or its floor(u) cell (hard),
     or wins its z-buffer bin in the copy but not in the cloud or the reverse
     (hard). aux is the cloud's SplatAux in soft mode and None in hard mode.
@@ -483,8 +483,8 @@ def _stepped_losses(cloud: PointCloud, feats: np.ndarray, cam: CameraModel, cfg:
     # it patches; each copy patches the one product buffer, sums it whole and restores it
     mask = mask.reshape(hw, c)
     product = base * mask
-    loss = float(product.sum() / mask.size)
-    losses = np.empty(len(owner), dtype=np.float64)
+    total = float(product.sum())
+    sums = np.empty(len(owner), dtype=np.float64)
     starts = np.flatnonzero(np.diff(np.cumsum(load) // _PROBE_CHUNK_ENTRIES, prepend=-1))
     for start, stop in zip(starts, np.append(starts[1:], len(owner))):
         copy, pix, rows = patch(slice(start, stop))
@@ -494,9 +494,9 @@ def _stepped_losses(cloud: PointCloud, feats: np.ndarray, cam: CameraModel, cfg:
             at = pix[edges[t] : edges[t + 1]]
             saved = product[at]
             product[at] = rows[edges[t] : edges[t + 1]]
-            losses[start + t] = product.sum() / mask.size
+            sums[start + t] = product.sum()
             product[at] = saved
-    return loss, losses, moved, aux
+    return total, sums, moved, aux
 
 
 def rasterize_hard(cloud: PointCloud, cam: CameraModel, mode: str = "depth") -> FeatureGrid:

@@ -312,6 +312,22 @@ def test_unknown_subcommand_is_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen-synth", "--kind", "sphere", "--n", "8", "--out", "{tmp}/s.xyz"],
+    ["gradcheck", "--instances", "1"],
+    ["probe", "--input", "{cloud}", "--mode", "hard", "--out", "{tmp}/p.json"],
+    ["ablate", "--input", "{cloud}", "--out", "{tmp}/a.json"],
+])
+def test_negative_seed_is_usage_error(argv, cloud_path, tmp_path, capsys):
+    argv = [a.format(tmp=tmp_path, cloud=cloud_path) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--seed", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "seed must be >= 0" in err
+    assert "Traceback" not in err
+
+
 def test_no_normalize_flag_respected(tmp_path):
     # far-away points are only representable without normalization if the
     # camera is moved; with normalization the default camera sees them

@@ -162,6 +162,17 @@ def test_camera_coords_applies_extrinsics():
     np.testing.assert_allclose(camera_coords(cam, pts), pts @ q.T + [1, 2, 3], atol=1e-12)
 
 
+def test_camera_coords_of_a_row_do_not_depend_on_its_block():
+    """One row alone, two rows or 500 rows: each row gets the same bits."""
+    rng = np.random.default_rng(1)
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    cam = CameraModel((1.0, 1.0), (0.0, 0.0), q * np.sign(np.linalg.det(q)), rng.normal(size=3), (4, 4))
+    pts = rng.normal(size=(500, 3)) * 10.0
+    whole = camera_coords(cam, pts)
+    assert np.array_equal(np.vstack([camera_coords(cam, p[None]) for p in pts]), whole)
+    assert np.array_equal(np.vstack([camera_coords(cam, pts[i:i + 2]) for i in range(0, 500, 2)]), whole)
+
+
 def test_front_camera_frozen_focal():
     # 0.85 * (128/2) * sqrt(3^2 - 1), frozen from the construction formula
     cam = front_camera((128, 128), 3.0, 0.85)

@@ -3,14 +3,38 @@
 import numpy as np
 import pytest
 
+from splatlab import gradcheck
 from splatlab.errors import InvalidInputError
-from splatlab.gradcheck import SUITES, central_fd, err_ratio, run_all, run_suite
+from splatlab.gradcheck import FD_STEP, SUITES, central_fd, err_ratio, run_all, run_suite
+
+PAIRS = {
+    "splat_backward": gradcheck._splat_pairs,
+    "edgeconv_backward": gradcheck._edgeconv_pairs,
+    "cross_attention": gradcheck._attention_pairs,
+    "chamfer": gradcheck._chamfer_pairs,
+    "arc_cd": gradcheck._arc_cd_pairs,
+}
+
+
+def loop_central_fd(fn, x, h=FD_STEP):
+    """The per-coordinate loop central_fd replaced: two fresh copies and two scalar calls per entry."""
+    x = np.asarray(x, dtype=np.float64)
+    g = np.zeros_like(x)
+    it = np.nditer(x, flags=["multi_index"])
+    for _ in it:
+        i = it.multi_index
+        xp = x.copy()
+        xp[i] += h
+        xm = x.copy()
+        xm[i] -= h
+        g[i] = (fn(xp) - fn(xm)) / (2.0 * h)
+    return g
 
 
 def test_central_fd_quadratic():
     """Central differences are exact for quadratics up to roundoff."""
-    def f(x):
-        return float((x * x).sum() + 3.0 * x.sum())
+    def f(block):
+        return (block * block).sum(axis=1) + 3.0 * block.sum(axis=1)
 
     x = np.array([1.0, -2.0, 0.5])
     fd = central_fd(f, x, 1e-5)
@@ -18,8 +42,60 @@ def test_central_fd_quadratic():
 
 
 def test_central_fd_scalar_input():
-    fd = central_fd(lambda s: float(np.sin(s)), np.array(0.3), 1e-6)
+    fd = central_fd(np.sin, np.array(0.3), 1e-6)
+    assert fd.shape == ()
     np.testing.assert_allclose(fd, np.cos(0.3), rtol=1e-9, atol=0)
+
+
+def test_central_fd_stacks_copies_in_order():
+    """Copies come +h then -h per entry in C order, each stepping exactly one entry."""
+    x = np.arange(6.0).reshape(2, 3)
+    seen = []
+
+    def f(block):
+        seen.append(block.copy())
+        return block.sum(axis=(1, 2))
+
+    central_fd(f, x, 0.5)
+    copies = np.concatenate(seen)
+    assert copies.shape == (12, 2, 3)
+    steps = (copies - x).reshape(12, 6)
+    want = np.zeros((12, 6))
+    want[0::2][np.arange(6), np.arange(6)] = 0.5
+    want[1::2][np.arange(6), np.arange(6)] = -0.5
+    assert np.array_equal(steps, want)
+
+
+@pytest.mark.parametrize("name", sorted(PAIRS))
+def test_batched_fd_bit_equal_to_loop_oracle(name):
+    """Every FD value of 30 instances per suite is bit for bit the per-coordinate loop's.
+
+    The loop oracle evaluates the same loss one copy at a time. EdgeConv's w2
+    (256 entries, 512 copies) streams through several blocks.
+    """
+    calls = []  # per central_fd call, the sizes of the blocks fn saw
+
+    def batched(fn, x, **kw):
+        sizes = []
+        calls.append(sizes)
+
+        def counted(block):
+            sizes.append(len(block))
+            return fn(block)
+        return central_fd(counted, x, **kw)
+
+    def oracle(fn, x, **kw):
+        return loop_central_fd(lambda copy: fn(copy[None])[0], x)
+
+    for seed in range(30):
+        got, want = PAIRS[name](seed, batched), PAIRS[name](seed, oracle)
+        assert len(got) == len(want)
+        for (a_got, fd_got), (a_want, fd_want) in zip(got, want):
+            assert np.array_equal(a_got, a_want)
+            assert fd_got.shape == fd_want.shape
+            assert np.array_equal(fd_got, fd_want), (name, seed)
+    if name == "edgeconv_backward":
+        assert any(len(sizes) > 1 for sizes in calls)
 
 
 def test_err_ratio_convention():

@@ -28,6 +28,8 @@ from splatlab.nnprims import (
     AblationParams,
     AttentionParams,
     MlpParams,
+    _attention_forward,
+    _edgeconv_body,
     counterfactual_ablate,
     cross_attention,
     edgeconv_backward,
@@ -109,6 +111,23 @@ def test_edgeconv_point_permutation_equivariant():
     shuffled = PointCloud(cloud.points[perm])
     out, _ = edgeconv_forward(shuffled, knn(shuffled, 3), params)
     np.testing.assert_allclose(out, base[perm], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["pts", "w1", "b1", "w2", "b2"])
+def test_edgeconv_body_gives_each_stacked_copy_the_public_output(name):
+    rng = np.random.default_rng(8)
+    cloud = gen_sphere(12, seed=8)
+    graph = knn(cloud, 4)
+    params = MlpParams.init(6, 32, 8, seed=9)
+    inputs = {"pts": cloud.points, "w1": params.w1, "b1": params.b1, "w2": params.w2, "b2": params.b2}
+    block = inputs[name] + rng.normal(scale=0.05, size=(7, *inputs[name].shape))
+    tokens = _edgeconv_body(**{**inputs, name: block}, idx=graph.indices)[0]
+    assert tokens.shape == (7, 12, 8)
+    for b in range(7):
+        one = {**inputs, name: block[b]}
+        want, _ = edgeconv_forward(PointCloud(one["pts"]), graph,
+                                   MlpParams(one["w1"], one["b1"], one["w2"], one["b2"]))
+        assert np.array_equal(tokens[b], want)
 
 
 def test_edgeconv_backward_zero_upstream():
@@ -227,6 +246,23 @@ def test_attention_streams_blocks_with_a_short_tail():
     for name, want in unchunked_attention_backward(geo, visual, params, upstream).items():
         np.testing.assert_allclose(getattr(grads, name), want, rtol=1e-12, atol=0, err_msg=name)
     assert np.array_equal(cross_attention(geo, np.zeros_like(visual), params), geo)
+
+
+@pytest.mark.parametrize("name", ["geo", "vis", "w_q", "w_k", "w_v"])
+def test_attention_body_gives_each_stacked_copy_the_public_output(name):
+    """150 rows over 2,048 visual tokens stream as blocks of 64, 64 and 22 rows."""
+    rng = np.random.default_rng(15)
+    params = AttentionParams.init(4, 3, 5, seed=16)
+    inputs = {"geo": rng.normal(size=(150, 4)), "vis": rng.random((2048, 3)),
+              "w_q": params.w_q, "w_k": params.w_k, "w_v": params.w_v}
+    assert len(list(_row_chunks(150, 8 * 2048))) == 3
+    block = inputs[name] + rng.normal(scale=0.05, size=(3, *inputs[name].shape))
+    out = _attention_forward(**{**inputs, name: block})
+    assert out.shape == (3, 150, 4)
+    for b in range(3):
+        one = {**inputs, name: block[b]}
+        want = cross_attention(one["geo"], one["vis"], AttentionParams(one["w_q"], one["w_k"], one["w_v"]))
+        assert np.array_equal(out[b], want)
 
 
 def test_attention_memory_stays_below_one_score_matrix():
