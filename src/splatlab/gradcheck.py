@@ -110,8 +110,11 @@ def _splat_instance(seed: int):
     return PointCloud(pts), feats, cam, cfg, upstream
 
 
-def _splat_pairs(seed: int, fd=central_fd) -> list:
-    """(analytic, fd) gradients of one splat instance: points, features, sigma."""
+def _splat_pairs(seed: int, fd) -> list:
+    """(analytic, fd) gradients of one splat instance: points, features, sigma.
+
+    Each suite has one such helper; ``fd`` is central_fd or a stand-in with its signature.
+    """
     cloud, feats, cam, cfg, upstream = _splat_instance(seed)
     _, aux = splat_forward(cloud, feats, cam, cfg)
     bundle = splat_backward(aux, cloud, feats, upstream, with_sigma=True)
@@ -136,7 +139,7 @@ def _splat_pairs(seed: int, fd=central_fd) -> list:
 
 def check_splat(seed: int) -> float:
     """Max err ratio over point, feature and sigma gradients for one instance."""
-    return _worst(_splat_pairs(seed))
+    return _worst(_splat_pairs(seed, central_fd))
 
 
 def _edgeconv_instance(seed: int):
@@ -158,7 +161,7 @@ def _edgeconv_instance(seed: int):
         sub += 1
 
 
-def _edgeconv_pairs(seed: int, fd=central_fd) -> list:
+def _edgeconv_pairs(seed: int, fd) -> list:
     """(analytic, fd) gradients of one EdgeConv instance: points, w1, b1, w2, b2."""
     cloud, graph, params, upstream = _edgeconv_instance(seed)
     _, cache = edgeconv_forward(cloud, graph, params)
@@ -178,10 +181,10 @@ def _edgeconv_pairs(seed: int, fd=central_fd) -> list:
 
 
 def check_edgeconv(seed: int) -> float:
-    return _worst(_edgeconv_pairs(seed))
+    return _worst(_edgeconv_pairs(seed, central_fd))
 
 
-def _attention_pairs(seed: int, fd=central_fd) -> list:
+def _attention_pairs(seed: int, fd) -> list:
     """(analytic, fd) gradients of one cross-attention instance: both token matrices, w_q, w_k, w_v."""
     rng = np.random.default_rng(seed)
     geo = rng.standard_normal((5, 4))
@@ -206,7 +209,7 @@ def _attention_pairs(seed: int, fd=central_fd) -> list:
 
 
 def check_attention(seed: int) -> float:
-    return _worst(_attention_pairs(seed))
+    return _worst(_attention_pairs(seed, central_fd))
 
 
 def _chamfer_instance(seed: int, separated: bool):
@@ -225,17 +228,17 @@ def _chamfer_instance(seed: int, separated: bool):
         sub += 1
 
 
-def _chamfer_pairs(seed: int, fd=central_fd) -> list:
+def _chamfer_pairs(seed: int, fd) -> list:
     x, y = _chamfer_instance(seed, separated=False)
     grad = chamfer(x, y, with_grad=True).d_X
     return [(grad, fd(lambda block: np.array([chamfer(p, y).value for p in block]), x))]
 
 
 def check_chamfer(seed: int) -> float:
-    return _worst(_chamfer_pairs(seed))
+    return _worst(_chamfer_pairs(seed, central_fd))
 
 
-def _arc_cd_pairs(seed: int, fd=central_fd) -> list:
+def _arc_cd_pairs(seed: int, fd) -> list:
     x, y = _chamfer_instance(seed, separated=True)
     lam = float(np.random.default_rng(seed + 13).uniform(0.5, 2.0))
     res = arc_cd(x, y, lam, with_grad=True)
@@ -245,7 +248,7 @@ def _arc_cd_pairs(seed: int, fd=central_fd) -> list:
 
 
 def check_arc_cd(seed: int) -> float:
-    return _worst(_arc_cd_pairs(seed))
+    return _worst(_arc_cd_pairs(seed, central_fd))
 
 
 SUITES = {
