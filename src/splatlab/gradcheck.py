@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import CameraModel, PointCloud, _row_chunks, _sq_dist_rows, knn, project_points
+from .geometry import CameraModel, PointCloud, _sq_dist_rows, knn, project_points
 from .losses import arc_cd, chamfer
 from .nnprims import (
     AttentionParams,
@@ -36,6 +36,8 @@ RTOL = 1e-5
 ATOL = 1e-9
 FD_STEP = 1e-5
 PIXEL_MARGIN = 1e-3
+# stepped copies per fn call; bounds fn's temporaries (a 512-copy EdgeConv stack holds > 10 MB)
+_FD_BLOCK = 32
 
 
 def err_ratio(analytic: np.ndarray, fd: np.ndarray) -> float:
@@ -44,23 +46,27 @@ def err_ratio(analytic: np.ndarray, fd: np.ndarray) -> float:
     return float(np.max(np.abs(a - f) / (ATOL + RTOL * np.abs(f)))) if a.size else 0.0
 
 
-def central_fd(fn, x: np.ndarray, h: float = FD_STEP, bytes_per_copy: int = 0) -> np.ndarray:
+def central_fd(fn, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
     """Central finite differences (f(x + h e_i) - f(x - h e_i)) / (2h) over every entry of x.
 
     fn maps a (B, *x.shape) stack of stepped copies of x to their B losses.
     The 2 * x.size copies are +h then -h per entry, entries in C order, and
-    reach fn in blocks of about geometry._CHUNK_BYTES, counting the copy
-    itself plus ``bytes_per_copy`` for what fn holds per copy.
+    reach fn in blocks of at most _FD_BLOCK copies.
     """
     x = np.asarray(x, dtype=np.float64)
     m = x.size
     f = np.empty(2 * m, dtype=np.float64)
-    for rows in _row_chunks(2 * m, x.nbytes + bytes_per_copy):
-        j = np.arange(rows.start, rows.stop)
+    for start in range(0, 2 * m, _FD_BLOCK):
+        j = np.arange(start, min(start + _FD_BLOCK, 2 * m))
         block = np.repeat(x.reshape(1, m), j.size, axis=0)
         # x + (-h) rounds exactly as x - h
         block[np.arange(j.size), j // 2] += np.where(j % 2 == 0, h, -h)
-        f[rows] = fn(block.reshape(j.size, *x.shape))
+        losses = np.asarray(fn(block.reshape(j.size, *x.shape)), dtype=np.float64)
+        if losses.shape != (j.size,):
+            raise InvalidInputError(
+                f"central_fd: fn must return one loss per stepped copy, shape ({j.size},); "
+                f"got shape {losses.shape}")
+        f[start:start + j.size] = losses
     return ((f[0::2] - f[1::2]) / (2.0 * h)).reshape(x.shape)
 
 
@@ -168,8 +174,6 @@ def _edgeconv_pairs(seed: int, fd) -> list:
     d_points, d_params = edgeconv_backward(cache, upstream)
     inputs = {"pts": cloud.points, "w1": params.w1, "b1": params.b1, "w2": params.w2, "b2": params.b2}
     analytic = {"pts": d_points, "w1": d_params.w1, "b1": d_params.b1, "w2": d_params.w2, "b2": d_params.b2}
-    n, k = graph.indices.shape
-    per_copy = 8 * n * k * (6 + 3 * EDGECONV_HIDDEN)
 
     def sums(name):
         def fn(block):
@@ -177,7 +181,7 @@ def _edgeconv_pairs(seed: int, fd) -> list:
             return (tokens * upstream).reshape(len(block), -1).sum(axis=-1)
         return fn
 
-    return [(analytic[name], fd(sums(name), x, bytes_per_copy=per_copy)) for name, x in inputs.items()]
+    return [(analytic[name], fd(sums(name), x)) for name, x in inputs.items()]
 
 
 def check_edgeconv(seed: int) -> float:
@@ -195,9 +199,6 @@ def _attention_pairs(seed: int, fd) -> list:
     inputs = {"geo": geo, "vis": vis, "w_q": params.w_q, "w_k": params.w_k, "w_v": params.w_v}
     analytic = {"geo": grads.d_geo, "vis": grads.d_visual, "w_q": grads.d_w_q, "w_k": grads.d_w_k,
                 "w_v": grads.d_w_v}
-    # q, key, val, the score rows and the output
-    n, hw, d = geo.shape[0], vis.shape[0], params.w_q.shape[1]
-    per_copy = 8 * (n * d + hw * d + hw * geo.shape[1] + n * hw + geo.size)
 
     def sums(name):
         def fn(block):
@@ -205,7 +206,7 @@ def _attention_pairs(seed: int, fd) -> list:
             return (out * upstream).reshape(len(block), -1).sum(axis=-1)
         return fn
 
-    return [(analytic[name], fd(sums(name), x, bytes_per_copy=per_copy)) for name, x in inputs.items()]
+    return [(analytic[name], fd(sums(name), x)) for name, x in inputs.items()]
 
 
 def check_attention(seed: int) -> float:

@@ -66,6 +66,15 @@ def test_central_fd_stacks_copies_in_order():
     assert np.array_equal(steps, want)
 
 
+def test_central_fd_rejects_one_loss_per_block():
+    """A scalar-loss fn (one float for the whole stack) raises instead of giving zero gradients."""
+    x = np.array([1.0, -2.0, 0.5])
+    with pytest.raises(InvalidInputError, match="one loss per stepped copy"):
+        central_fd(lambda block: float((block * block).sum()), x)
+    with pytest.raises(InvalidInputError):
+        central_fd(lambda block: (block * block).sum(axis=1)[:-1], x)
+
+
 @pytest.mark.parametrize("name", sorted(PAIRS))
 def test_batched_fd_bit_equal_to_loop_oracle(name):
     """Every FD value of 30 instances per suite is bit for bit the per-coordinate loop's.
@@ -75,16 +84,16 @@ def test_batched_fd_bit_equal_to_loop_oracle(name):
     """
     calls = []  # per central_fd call, the sizes of the blocks fn saw
 
-    def batched(fn, x, **kw):
+    def batched(fn, x):
         sizes = []
         calls.append(sizes)
 
         def counted(block):
             sizes.append(len(block))
             return fn(block)
-        return central_fd(counted, x, **kw)
+        return central_fd(counted, x)
 
-    def oracle(fn, x, **kw):
+    def oracle(fn, x):
         return loop_central_fd(lambda copy: fn(copy[None])[0], x)
 
     for seed in range(30):
