@@ -13,17 +13,14 @@ from .geometry import (
     CameraModel,
     NeighborGraph,
     PointCloud,
-    Projection,
     camera_coords,
     ccm_features,
     front_camera,
     gen_lidar,
     gen_sphere,
     knn,
-    lidar_ray_blocks,
     normalize_kitti,
     normalize_unit,
-    project_point,
     project_points,
 )
 from .splatting import (
@@ -68,85 +65,9 @@ from .gradcheck import central_fd, err_ratio, run_all, run_suite
 from .fileio import (
     dumps_report,
     load_cloud,
-    load_cloud_lenient,
     load_grid,
     load_report,
     save_cloud,
     save_grid,
     save_report,
 )
-
-__all__ = [
-    "__version__",
-    "SplatlabError",
-    "InvalidInputError",
-    "ParseError",
-    "InternalConsistencyError",
-    "PointCloud",
-    "CameraModel",
-    "Projection",
-    "BBox3D",
-    "NeighborGraph",
-    "camera_coords",
-    "project_points",
-    "project_point",
-    "normalize_unit",
-    "normalize_kitti",
-    "knn",
-    "gen_sphere",
-    "gen_lidar",
-    "lidar_ray_blocks",
-    "ccm_features",
-    "front_camera",
-    "SplatConfig",
-    "FeatureGrid",
-    "SplatAux",
-    "GradientBundle",
-    "splat_forward",
-    "splat_backward",
-    "rasterize_hard",
-    "hard_hit_count",
-    "soft_density",
-    "soft_density_grid",
-    "support_measure",
-    "LossValue",
-    "chamfer",
-    "chamfer_l1",
-    "arc_cd",
-    "total_loss",
-    "fscore",
-    "fidelity",
-    "mmd",
-    "EntropyReport",
-    "AnalysisReport",
-    "StrategyComparison",
-    "channel_entropy",
-    "coverage",
-    "cmit",
-    "pmi_field",
-    "compare_strategies",
-    "MlpParams",
-    "AttentionParams",
-    "EdgeConvCache",
-    "CrossAttentionGrads",
-    "ProbeReport",
-    "AblationParams",
-    "AblationReport",
-    "edgeconv_forward",
-    "edgeconv_backward",
-    "cross_attention",
-    "grad_flow_probe",
-    "counterfactual_ablate",
-    "err_ratio",
-    "central_fd",
-    "run_suite",
-    "run_all",
-    "load_cloud",
-    "load_cloud_lenient",
-    "save_cloud",
-    "save_grid",
-    "load_grid",
-    "save_report",
-    "load_report",
-    "dumps_report",
-]

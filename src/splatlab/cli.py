@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .errors import InternalConsistencyError, InvalidInputError
-from .fileio import load_cloud, save_cloud, save_grid, save_report
+from .fileio import load_cloud, load_report, save_cloud, save_grid, save_report
 from .geometry import (FRONT_DISTANCE, FRONT_FILL, FRONT_RESOLUTION, BBox3D, CameraModel, front_camera,
                        gen_lidar, gen_sphere, normalize_kitti, normalize_unit)
 from .gradcheck import run_all
@@ -73,13 +73,7 @@ _FLAG_KEYS = {
 
 
 def _load_config_file(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            raw = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"{path}: not valid JSON ({exc})") from None
-    except (FileNotFoundError, IsADirectoryError) as exc:
-        raise InvalidInputError(f"{path}: {exc.strerror or exc}") from None
+    raw = load_report(path)
     if not isinstance(raw, dict):
         raise InvalidInputError(f"{path}: config root must be an object")
     for section, values in raw.items():

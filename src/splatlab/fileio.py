@@ -51,45 +51,49 @@ def _detect_format(path, fmt: str | None) -> str:
     raise InvalidInputError(f"cannot infer cloud format from suffix {suffix!r}; pass one")
 
 
-def _parse_xyz(path, lenient: bool) -> tuple[PointCloud, int]:
+def _read_lines(path) -> list[str]:
+    """The file's lines (str.splitlines); a non-ASCII byte is a ParseError at its line."""
+    with open(path, "rb") as f:
+        blob = f.read()
+    try:
+        return blob.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        # the bad byte's line: the lines before it, plus the one it starts or continues
+        line = len((blob[:exc.start].decode("ascii") + "x").splitlines())
+        raise ParseError(path, line, f"non-ASCII byte 0x{blob[exc.start]:02x}") from None
+
+
+def _parse_xyz(path, lines: list[str]) -> PointCloud:
     rows: list[list[float]] = []
     arity = None
-    skipped = 0
-    with open(path, "r", encoding="ascii") as f:
-        for lineno, line in enumerate(f, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split()
-            try:
-                vals = [float(p) for p in parts]
-                if len(vals) not in (3, 6):
-                    raise ValueError(f"expected 3 or 6 columns, got {len(vals)}")
-                if arity is not None and len(vals) != arity:
-                    raise ValueError(f"column count changed from {arity} to {len(vals)}")
-                if not all(np.isfinite(vals)):
-                    raise ValueError("non-finite value")
-            except ValueError as exc:
-                if lenient:
-                    skipped += 1
-                    continue
-                raise ParseError(path, lineno, str(exc)) from None
-            arity = len(vals)
-            rows.append(vals)
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        try:
+            vals = [float(p) for p in text.split()]
+            if len(vals) not in (3, 6):
+                raise ValueError(f"expected 3 or 6 columns, got {len(vals)}")
+            if arity is not None and len(vals) != arity:
+                raise ValueError(f"column count changed from {arity} to {len(vals)}")
+            if not all(np.isfinite(vals)):
+                raise ValueError("non-finite value")
+        except ValueError as exc:
+            raise ParseError(path, lineno, str(exc)) from None
+        arity = len(vals)
+        rows.append(vals)
     if not rows:
         raise InvalidInputError(f"{path}: no data rows")
     arr = np.asarray(rows, dtype=np.float64)
     feats = arr[:, 3:] if arr.shape[1] == 6 else None
-    return PointCloud(arr[:, :3], feats), skipped
+    return PointCloud(arr[:, :3], feats)
 
 
 _PLY_FLOAT = ("float", "float32", "double", "float64")
 _PLY_UCHAR = ("uchar", "uint8")
 
 
-def _parse_ply(path, lenient: bool) -> tuple[PointCloud, int]:
-    with open(path, "r", encoding="ascii") as f:
-        lines = f.read().splitlines()
+def _parse_ply(path, lines: list[str]) -> PointCloud:
     ln = 0
 
     def expect(pred, message):
@@ -111,7 +115,7 @@ def _parse_ply(path, lenient: bool) -> tuple[PointCloud, int]:
             continue
         parts = text.split()
         if parts[0] == "element":
-            if parts[1] != "vertex" or n_vertex is not None:
+            if parts[1:2] != ["vertex"] or n_vertex is not None:
                 raise ParseError(path, ln, "only a single 'element vertex' is supported")
             try:
                 n_vertex = int(parts[2])
@@ -141,7 +145,6 @@ def _parse_ply(path, lenient: bool) -> tuple[PointCloud, int]:
         raise ParseError(path, ln, "vertex properties must be xyz or xyz + rgb")
 
     rows = []
-    skipped = 0
     data_lines = lines[ln:]
     if len(data_lines) < n_vertex:
         raise ParseError(path, len(lines), f"expected {n_vertex} vertex rows")
@@ -167,9 +170,6 @@ def _parse_ply(path, lenient: bool) -> tuple[PointCloud, int]:
                 rec[pname] = val
             rows.append(rec)
         except ValueError as exc:
-            if lenient:
-                skipped += 1
-                continue
             raise ParseError(path, lineno, str(exc)) from None
     if not rows:
         raise InvalidInputError(f"{path}: no vertices")
@@ -177,7 +177,7 @@ def _parse_ply(path, lenient: bool) -> tuple[PointCloud, int]:
     feats = None
     if has_rgb:
         feats = np.array([[r["red"], r["green"], r["blue"]] for r in rows], dtype=np.float64) / 255.0
-    return PointCloud(pts, feats), skipped
+    return PointCloud(pts, feats)
 
 
 def _reject_missing(path, exc: OSError) -> None:
@@ -189,22 +189,13 @@ def _reject_missing(path, exc: OSError) -> None:
 
 
 def load_cloud(path, fmt: str | None = None) -> PointCloud:
-    """Strict cloud loader; parse failures carry the path and line number."""
+    """Read an xyz or PLY cloud; parse failures carry the path and line number."""
     kind = _detect_format(path, fmt)
     try:
-        cloud, _ = (_parse_xyz if kind == "xyz" else _parse_ply)(path, lenient=False)
+        lines = _read_lines(path)
     except OSError as exc:
         _reject_missing(path, exc)
-    return cloud
-
-
-def load_cloud_lenient(path, fmt: str | None = None) -> tuple[PointCloud, int]:
-    """Lenient loader: malformed data rows are skipped and counted."""
-    kind = _detect_format(path, fmt)
-    try:
-        return (_parse_xyz if kind == "xyz" else _parse_ply)(path, lenient=True)
-    except OSError as exc:
-        _reject_missing(path, exc)
+    return (_parse_xyz if kind == "xyz" else _parse_ply)(path, lines)
 
 
 def save_cloud(cloud: PointCloud, path, fmt: str | None = None) -> None:
@@ -361,8 +352,11 @@ def save_report(report, path) -> None:
 
 
 def load_report(path) -> dict:
+    """Parse a JSON file; a missing file, a non-ASCII byte or malformed JSON is invalid input."""
     try:
         with open(path, "r", encoding="ascii") as f:
             return json.load(f)
     except OSError as exc:
         _reject_missing(path, exc)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InvalidInputError(f"{path}: not valid ASCII JSON ({exc})") from None

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -35,9 +34,15 @@ _MIN_CHUNK_ROWS = 64
 
 
 def _as_points(arr) -> np.ndarray:
-    pts = np.asarray(arr, dtype=np.float64)
+    """``arr`` as finite (N, 3) float64 coordinates, N >= 1; a PointCloud's points pass as they are."""
+    if isinstance(arr, PointCloud):
+        return arr.points
+    try:
+        pts = np.asarray(arr, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise InvalidInputError("points must be numeric rows of three coordinates") from None
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
-        raise InvalidInputError(f"expected an (N, 3) array with N >= 1, got shape {np.shape(arr)}")
+        raise InvalidInputError(f"expected an (N, 3) array with N >= 1, got shape {pts.shape}")
     if not np.all(np.isfinite(pts)):
         raise InvalidInputError("point coordinates must be finite")
     return pts
@@ -156,12 +161,6 @@ class CameraModel:
         }
 
 
-class Projection(NamedTuple):
-    u: np.ndarray
-    z: float
-    culled: bool
-
-
 @dataclass
 class BBox3D:
     """Oriented 3D box: center, per-axis dimensions (all > 0), yaw about the up axis."""
@@ -232,12 +231,6 @@ def project_points(cam: CameraModel, points) -> tuple[np.ndarray, np.ndarray, np
     valid &= np.isfinite(u).all(axis=1) & np.isfinite(z)
     u[~valid] = np.nan
     return u, z, valid
-
-
-def project_point(cam: CameraModel, p) -> Projection:
-    """Project a single point; ``culled`` is set when its depth is <= CULL_DEPTH."""
-    u, z, valid = project_points(cam, np.asarray(p, dtype=np.float64).reshape(1, 3))
-    return Projection(u[0], float(z[0]), bool(not valid[0]))
 
 
 def normalize_unit(cloud: PointCloud) -> PointCloud:
@@ -382,17 +375,6 @@ def gen_lidar(n: int, rays: int, seed: int) -> PointCloud:
         z = dist * np.cos(elev) * np.cos(azim)
         parts.append(np.stack([x, y, z], axis=1))
     return PointCloud(np.concatenate(parts, axis=0))
-
-
-def lidar_ray_blocks(n: int, rays: int) -> list[np.ndarray]:
-    """Index blocks of gen_lidar output, one array of point indices per ray."""
-    base, extra = divmod(n, rays)
-    blocks, start = [], 0
-    for r in range(rays):
-        m = base + (1 if r < extra else 0)
-        blocks.append(np.arange(start, start + m))
-        start += m
-    return blocks
 
 
 def ccm_features(cloud: PointCloud) -> np.ndarray:

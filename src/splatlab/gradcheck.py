@@ -143,11 +143,6 @@ def _splat_pairs(seed: int, fd) -> list:
     ]
 
 
-def check_splat(seed: int) -> float:
-    """Max err ratio over point, feature and sigma gradients for one instance."""
-    return _worst(_splat_pairs(seed, central_fd))
-
-
 def _edgeconv_instance(seed: int):
     sub = 0
     while True:
@@ -184,10 +179,6 @@ def _edgeconv_pairs(seed: int, fd) -> list:
     return [(analytic[name], fd(sums(name), x)) for name, x in inputs.items()]
 
 
-def check_edgeconv(seed: int) -> float:
-    return _worst(_edgeconv_pairs(seed, central_fd))
-
-
 def _attention_pairs(seed: int, fd) -> list:
     """(analytic, fd) gradients of one cross-attention instance: both token matrices, w_q, w_k, w_v."""
     rng = np.random.default_rng(seed)
@@ -207,10 +198,6 @@ def _attention_pairs(seed: int, fd) -> list:
         return fn
 
     return [(analytic[name], fd(sums(name), x)) for name, x in inputs.items()]
-
-
-def check_attention(seed: int) -> float:
-    return _worst(_attention_pairs(seed, central_fd))
 
 
 def _chamfer_instance(seed: int, separated: bool):
@@ -235,10 +222,6 @@ def _chamfer_pairs(seed: int, fd) -> list:
     return [(grad, fd(lambda block: np.array([chamfer(p, y).value for p in block]), x))]
 
 
-def check_chamfer(seed: int) -> float:
-    return _worst(_chamfer_pairs(seed, central_fd))
-
-
 def _arc_cd_pairs(seed: int, fd) -> list:
     x, y = _chamfer_instance(seed, separated=True)
     lam = float(np.random.default_rng(seed + 13).uniform(0.5, 2.0))
@@ -248,16 +231,13 @@ def _arc_cd_pairs(seed: int, fd) -> list:
     return [(res.d_X, fd(lambda block: np.array([arc_cd(p, y, lam).value for p in block]), x))]
 
 
-def check_arc_cd(seed: int) -> float:
-    return _worst(_arc_cd_pairs(seed, central_fd))
-
-
+# suite name -> its (seed, fd) -> [(analytic, fd)] helper
 SUITES = {
-    "splat_backward": check_splat,
-    "edgeconv_backward": check_edgeconv,
-    "cross_attention": check_attention,
-    "chamfer": check_chamfer,
-    "arc_cd": check_arc_cd,
+    "splat_backward": _splat_pairs,
+    "edgeconv_backward": _edgeconv_pairs,
+    "cross_attention": _attention_pairs,
+    "chamfer": _chamfer_pairs,
+    "arc_cd": _arc_cd_pairs,
 }
 
 
@@ -267,10 +247,8 @@ def run_suite(name: str, instances: int, seed: int = 0) -> dict:
         raise InvalidInputError(f"unknown gradcheck suite {name!r}; choose from {sorted(SUITES)}")
     if instances < 1:
         raise InvalidInputError("instances must be >= 1")
-    fn = SUITES[name]
-    worst = 0.0
-    for i in range(instances):
-        worst = max(worst, fn(seed + i))
+    # central_fd is read from the module at each call, so a wrapper patched over it sees every FD call
+    worst = max(_worst(SUITES[name](seed + i, central_fd)) for i in range(instances))
     return {
         "name": name,
         "instances": instances,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import PointCloud, _sq_dist_rows
+from .geometry import _as_points, _sq_dist_rows
 
 ARC_GRAD_CAP = 1e6
 
@@ -33,15 +33,6 @@ class LossValue:
     d_X: np.ndarray | None = None
     grad_clamped: bool = False
     d_stages: list[np.ndarray] | None = None
-
-
-def _points_of(x) -> np.ndarray:
-    pts = x.points if isinstance(x, PointCloud) else np.asarray(x, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
-        raise InvalidInputError(f"expected a point cloud of shape (N, 3), got {np.shape(pts)}")
-    if not np.all(np.isfinite(pts)):
-        raise InvalidInputError("point coordinates must be finite")
-    return pts
 
 
 def _nn_sq(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -62,7 +53,7 @@ def _nn_sq(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def chamfer(x, y, with_grad: bool = False) -> LossValue:
     """Squared-L2 Chamfer distance: mean of both directed nearest-neighbor means."""
-    xp, yp = _points_of(x), _points_of(y)
+    xp, yp = _as_points(x), _as_points(y)
     d_xy, idx_xy = _nn_sq(xp, yp)
     d_yx, idx_yx = _nn_sq(yp, xp)
     value = float(d_xy.mean() + d_yx.mean())
@@ -75,7 +66,7 @@ def chamfer(x, y, with_grad: bool = False) -> LossValue:
 
 def chamfer_l1(x, y, halved: bool = True) -> LossValue:
     """Unsquared (L1-style) Chamfer: mean nearest distances, halved by default."""
-    xp, yp = _points_of(x), _points_of(y)
+    xp, yp = _as_points(x), _as_points(y)
     d_xy, _ = _nn_sq(xp, yp)
     d_yx, _ = _nn_sq(yp, xp)
     value = float(np.sqrt(d_xy).mean() + np.sqrt(d_yx).mean())
@@ -140,7 +131,7 @@ def fscore(x, y, tau: float) -> float:
     """
     if not (math.isfinite(tau) and tau > 0):
         raise InvalidInputError("tau must be finite and positive")
-    xp, yp = _points_of(x), _points_of(y)
+    xp, yp = _as_points(x), _as_points(y)
     d_xy, _ = _nn_sq(xp, yp)
     d_yx, _ = _nn_sq(yp, xp)
     precision = float((np.sqrt(d_xy) <= tau).mean())
@@ -152,7 +143,7 @@ def fscore(x, y, tau: float) -> float:
 
 def fidelity(p_in, p_out) -> float:
     """One-sided mean unsquared distance from each input point to the output."""
-    ip, op = _points_of(p_in), _points_of(p_out)
+    ip, op = _as_points(p_in), _as_points(p_out)
     d, _ = _nn_sq(ip, op)
     return float(np.sqrt(d).mean())
 

@@ -57,7 +57,7 @@ class MlpParams:
 
 @dataclass
 class AttentionParams:
-    """Projection matrices for residual single-head cross-attention."""
+    """Query, key and value weight matrices for residual single-head cross-attention."""
 
     w_q: np.ndarray
     w_k: np.ndarray

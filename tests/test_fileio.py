@@ -7,11 +7,11 @@ import struct
 import numpy as np
 import pytest
 
+from splatlab import cli
 from splatlab.errors import InvalidInputError, ParseError
 from splatlab.fileio import (
     dumps_report,
     load_cloud,
-    load_cloud_lenient,
     load_grid,
     load_report,
     save_cloud,
@@ -84,14 +84,6 @@ def test_missing_input_is_invalid_input(tmp_path):
         load_report(tmp_path / "nope.json")
 
 
-def test_lenient_skips_and_counts(tmp_path):
-    p = tmp_path / "a.xyz"
-    p.write_text("0 0 0\nbad line\n1 1 1\n2 2 x\n")
-    cloud, skipped = load_cloud_lenient(p)
-    assert len(cloud) == 2
-    assert skipped == 2
-
-
 def test_xyz_roundtrip_exact(tmp_path):
     rng = np.random.default_rng(0)
     cloud = PointCloud(rng.normal(size=(20, 3)), rng.random((20, 3)))
@@ -162,6 +154,30 @@ def test_ply_header_errors(tmp_path):
     p.write_text(_ply_text(1, "1 2 3\n", props))
     with pytest.raises(ParseError):
         load_cloud(p)
+
+
+def test_ply_bare_element_line(tmp_path):
+    p = tmp_path / "a.ply"
+    p.write_text("ply\nformat ascii 1.0\nelement\nend_header\n")
+    with pytest.raises(ParseError) as exc:
+        load_cloud(p)
+    assert exc.value.line == 3
+
+
+@pytest.mark.parametrize("name, blob, line", [
+    ("a.xyz", b"0 0 1\n\xff\xfe 1 2\n", 2),
+    ("a.xyz", b"# caf\xe9\n0 0 1\n", 1),
+    ("a.ply", _ply_text(2, "0 0 0\n").encode("ascii") + b"1 \xe9 0\n", 9),
+])
+def test_non_ascii_byte_is_parse_error(tmp_path, capsys, name, blob, line):
+    """Data rows and comments alike: ParseError at the byte's line, and CLI exit 2."""
+    p = tmp_path / name
+    p.write_bytes(blob)
+    with pytest.raises(ParseError) as exc:
+        load_cloud(p)
+    assert exc.value.line == line
+    assert cli.main(["project", "--input", str(p), "--out", str(tmp_path / "g.raw")]) == 2
+    assert f"{name}:{line}: non-ASCII byte" in capsys.readouterr().err
 
 
 def test_ply_wrong_row_count(tmp_path):
@@ -306,6 +322,14 @@ def test_report_handles_numpy_scalars_and_arrays():
     assert back["arr"] == [1.0, 2.0]
     assert back["n"] == 3
     assert back["f"] == 0.5
+
+
+@pytest.mark.parametrize("blob", [b"{not json", b'{"x": "caf\xc3\xa9"}'])
+def test_load_report_malformed_is_invalid_input(tmp_path, blob):
+    path = tmp_path / "r.json"
+    path.write_bytes(blob)
+    with pytest.raises(InvalidInputError, match="r.json: not valid ASCII JSON"):
+        load_report(path)
 
 
 def test_atomic_write_no_temp_left_behind(tmp_path):

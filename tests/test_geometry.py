@@ -20,13 +20,11 @@ from splatlab.geometry import (
     gen_lidar,
     gen_sphere,
     knn,
-    lidar_ray_blocks,
     normalize_kitti,
     normalize_unit,
-    project_point,
     project_points,
 )
-from splatlab.losses import _nn_sq
+from splatlab.losses import _nn_sq, chamfer
 
 
 def brute_nn_sq(a, b, chunk=512):
@@ -71,17 +69,17 @@ def _identity_cam(focal=(1.0, 1.0), principal=(0.0, 0.0), resolution=(8, 8)):
 def test_project_on_axis():
     """Point on the optical axis lands on the principal point."""
     cam = _identity_cam()
-    res = project_point(cam, np.array([0.0, 0.0, 1.0]))
-    assert not res.culled
-    np.testing.assert_array_equal(res.u, [0.0, 0.0])
-    assert res.z == 1.0
+    u, z, valid = project_points(cam, np.array([[0.0, 0.0, 1.0]]))
+    assert valid.tolist() == [True]
+    np.testing.assert_array_equal(u, [[0.0, 0.0]])
+    assert z.tolist() == [1.0]
 
 
 def test_project_pinhole_division():
     cam = _identity_cam()
-    res = project_point(cam, np.array([1.0, 0.0, 2.0]))
-    np.testing.assert_array_equal(res.u, [0.5, 0.0])
-    assert res.z == 2.0
+    u, z, _ = project_points(cam, np.array([[1.0, 0.0, 2.0]]))
+    np.testing.assert_array_equal(u, [[0.5, 0.0]])
+    assert z.tolist() == [2.0]
 
 
 def test_project_hand_case():
@@ -89,9 +87,9 @@ def test_project_hand_case():
     cam = _identity_cam(focal=(100.0, 100.0), principal=(32.0, 32.0), resolution=(64, 64))
     cam = CameraModel(cam.focal, cam.principal, cam.rotation,
                       np.array([0.0, 0.0, 4.0]), cam.resolution)
-    res = project_point(cam, np.array([0.5, -0.25, -4.0 + 4.0]))
-    np.testing.assert_allclose(res.u, [44.5, 25.75], rtol=0, atol=1e-12)
-    assert res.z == 4.0
+    u, z, _ = project_points(cam, np.array([[0.5, -0.25, -4.0 + 4.0]]))
+    np.testing.assert_allclose(u, [[44.5, 25.75]], rtol=0, atol=1e-12)
+    assert z.tolist() == [4.0]
 
 
 def test_project_matches_straightline_oracle():
@@ -119,24 +117,26 @@ def test_project_matches_straightline_oracle():
 def test_project_ray_scaling_invariance():
     """Scaling a point along its ray leaves u unchanged under identity pose."""
     cam = _identity_cam(focal=(50.0, 50.0), principal=(4.0, 4.0))
-    p = np.array([0.3, -0.2, 1.7])
-    base = project_point(cam, p)
+    p = np.array([[0.3, -0.2, 1.7]])
+    base, _, _ = project_points(cam, p)
     for lam in (0.5, 2.0, 7.3):
-        res = project_point(cam, lam * p)
-        np.testing.assert_allclose(res.u, base.u, rtol=0, atol=1e-9)
+        u, _, _ = project_points(cam, lam * p)
+        np.testing.assert_allclose(u, base, rtol=0, atol=1e-9)
 
 
 def test_project_culls_nonpositive_depth():
+    """Each point alone, so the one-row path of camera_coords is the one culled."""
     cam = _identity_cam()
-    assert project_point(cam, np.array([0.0, 0.0, -1.0])).culled
-    assert project_point(cam, np.array([0.0, 0.0, 0.0])).culled
-    assert project_point(cam, np.array([1.0, 1.0, 1e-10])).culled
+    for p in ([0.0, 0.0, -1.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1e-10]):
+        u, _, valid = project_points(cam, np.array([p]))
+        assert valid.tolist() == [False]
+        assert np.isnan(u).all()
 
 
 def test_project_rejects_nonfinite():
     cam = _identity_cam()
     with pytest.raises(InvalidInputError):
-        project_point(cam, np.array([np.nan, 0.0, 1.0]))
+        project_points(cam, np.array([[np.nan, 0.0, 1.0]]))
 
 
 def test_camera_rejects_bad_rotation():
@@ -395,8 +395,8 @@ def test_gen_lidar_ray_structure():
     pts = cloud.points
     elev = np.arctan2(pts[:, 1], np.hypot(pts[:, 0], pts[:, 2]))
 
-    blocks = lidar_ray_blocks(1000, 8)
-    assert sum(len(b) for b in blocks) == 1000
+    # gen_lidar is block-contiguous by ray, the first n % rays rays one point longer
+    blocks = np.array_split(np.arange(1000), 8)
     within = [elev[b].std() for b in blocks]
     means = [elev[b].mean() for b in blocks]
     assert max(within) < 0.01
@@ -427,6 +427,15 @@ def test_ccm_features_rejects_out_of_range():
     cloud = PointCloud(np.zeros((1, 3)), np.array([[1.5, 0.0, 0.0]]))
     with pytest.raises(InvalidInputError):
         ccm_features(cloud)
+
+
+@pytest.mark.parametrize("points", [[[0, 0, 0], [1, 1]], "abc", [[0, 0, "x"]]])
+def test_malformed_points_are_invalid_input(points):
+    """Ragged or non-numeric rows raise InvalidInputError, not numpy's ValueError."""
+    with pytest.raises(InvalidInputError):
+        PointCloud(points)
+    with pytest.raises(InvalidInputError):
+        chamfer(points, np.zeros((1, 3)))
 
 
 def test_pointcloud_validation():

@@ -3,17 +3,8 @@
 import numpy as np
 import pytest
 
-from splatlab import gradcheck
 from splatlab.errors import InvalidInputError
 from splatlab.gradcheck import FD_STEP, SUITES, central_fd, err_ratio, run_all, run_suite
-
-PAIRS = {
-    "splat_backward": gradcheck._splat_pairs,
-    "edgeconv_backward": gradcheck._edgeconv_pairs,
-    "cross_attention": gradcheck._attention_pairs,
-    "chamfer": gradcheck._chamfer_pairs,
-    "arc_cd": gradcheck._arc_cd_pairs,
-}
 
 
 def loop_central_fd(fn, x, h=FD_STEP):
@@ -75,7 +66,7 @@ def test_central_fd_rejects_one_loss_per_block():
         central_fd(lambda block: (block * block).sum(axis=1)[:-1], x)
 
 
-@pytest.mark.parametrize("name", sorted(PAIRS))
+@pytest.mark.parametrize("name", sorted(SUITES))
 def test_batched_fd_bit_equal_to_loop_oracle(name):
     """Every FD value of 30 instances per suite is bit for bit the per-coordinate loop's.
 
@@ -97,7 +88,7 @@ def test_batched_fd_bit_equal_to_loop_oracle(name):
         return loop_central_fd(lambda copy: fn(copy[None])[0], x)
 
     for seed in range(30):
-        got, want = PAIRS[name](seed, batched), PAIRS[name](seed, oracle)
+        got, want = SUITES[name](seed, batched), SUITES[name](seed, oracle)
         assert len(got) == len(want)
         for (_, fd_got), (_, fd_want) in zip(got, want):
             assert fd_got.shape == fd_want.shape
