@@ -119,6 +119,8 @@ def _parse_ply(path, lines: list[str]) -> PointCloud:
                 raise ParseError(path, ln, "only a single 'element vertex' is supported")
             try:
                 n_vertex = int(parts[2])
+                if n_vertex < 0:
+                    raise ValueError
             except (IndexError, ValueError):
                 raise ParseError(path, ln, "bad element count") from None
         elif parts[0] == "property":
@@ -201,16 +203,14 @@ def load_cloud(path, fmt: str | None = None) -> PointCloud:
 def save_cloud(cloud: PointCloud, path, fmt: str | None = None) -> None:
     """Write xyz or PLY; floats at 17 significant digits round-trip exactly."""
     kind = _detect_format(path, fmt)
+    has_rgb = cloud.features is not None
+    if has_rgb and cloud.features.shape[1] != 3:
+        raise InvalidInputError("xyz and PLY files carry exactly three feature columns")
     if kind == "xyz":
-        cols = cloud.points
-        if cloud.features is not None:
-            if cloud.features.shape[1] != 3:
-                raise InvalidInputError("xyz files carry exactly three feature columns")
-            cols = np.hstack([cloud.points, cloud.features])
+        cols = np.hstack([cloud.points, cloud.features]) if has_rgb else cloud.points
         body = "".join(" ".join(format(v, ".17g") for v in row) + "\n" for row in cols)
         _atomic_write(path, body.encode("ascii"))
         return
-    has_rgb = cloud.features is not None and cloud.features.shape[1] == 3
     header = ["ply", "format ascii 1.0", f"element vertex {len(cloud)}",
               "property float x", "property float y", "property float z"]
     if has_rgb:
@@ -233,14 +233,14 @@ def _channel_paths(path, channels: int) -> list[Path]:
     return [path.with_name(f"{path.stem}_c{ch}{path.suffix}") for ch in range(channels)]
 
 
-def save_grid(grid: FeatureGrid, path, fmt: str = "raw", value_range=None) -> list[str]:
+def save_grid(grid: FeatureGrid, path, fmt: str = "raw") -> list[str]:
     """Write a grid to disk; returns the list of files written.
 
     raw: 16-byte header (magic 'FGRD', then height/width/channels as
     little-endian uint32) followed by row-major little-endian float64.
     pgm: 16-bit big-endian P5, one file per channel for multi-channel grids,
-    values mapped linearly from ``value_range`` (defaults: (0, 1) for ccm,
-    data min/max otherwise) to 0..65535 with clipping.
+    values mapped linearly from (0, 1) for ccm grids, from the data's
+    min/max otherwise, to 0..65535 with clipping.
     """
     if fmt == "raw":
         header = struct.pack("<4sIII", GRID_MAGIC, grid.height, grid.width, grid.channels)
@@ -249,13 +249,10 @@ def save_grid(grid: FeatureGrid, path, fmt: str = "raw", value_range=None) -> li
         return [str(path)]
     if fmt != "pgm":
         raise InvalidInputError("fmt must be 'raw' or 'pgm'")
-    if value_range is None:
-        if grid.semantics == "ccm":
-            lo, hi = 0.0, 1.0
-        else:
-            lo, hi = float(grid.data.min()), float(grid.data.max())
+    if grid.semantics == "ccm":
+        lo, hi = 0.0, 1.0
     else:
-        lo, hi = float(value_range[0]), float(value_range[1])
+        lo, hi = float(grid.data.min()), float(grid.data.max())
     span = hi - lo
     written = []
     for ch, target in enumerate(_channel_paths(path, grid.channels)):

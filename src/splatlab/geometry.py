@@ -37,26 +37,28 @@ def _as_points(arr) -> np.ndarray:
     """``arr`` as finite (N, 3) float64 coordinates, N >= 1; a PointCloud's points pass as they are."""
     if isinstance(arr, PointCloud):
         return arr.points
-    try:
-        pts = np.asarray(arr, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise InvalidInputError("points must be numeric rows of three coordinates") from None
-    if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
-        raise InvalidInputError(f"expected an (N, 3) array with N >= 1, got shape {pts.shape}")
-    if not np.all(np.isfinite(pts)):
-        raise InvalidInputError("point coordinates must be finite")
-    return pts
+    return _finite_array(arr, (None, 3), "points must be an (N, 3) array of finite numbers, N >= 1")
 
 
-def _finite_array(value, shape: tuple[int, ...], msg: str) -> np.ndarray:
-    """``value`` as a finite float64 array of ``shape``; vectors may come in any layout."""
+def _finite_array(value, shape: tuple[int | None, ...], msg: str) -> np.ndarray:
+    """``value`` as a finite float64 array of ``shape``, else InvalidInputError(msg).
+
+    A None extent matches any extent >= 1, a vector may come in any layout and
+    ``shape=()`` takes one real number as a 0-d array. Only bool, integer and
+    float values pass (no strings or objects); a float64 array comes back
+    as it is, without a copy.
+    """
     try:
-        arr = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
         raise InvalidInputError(msg) from None
+    if arr.dtype.kind not in "biuf":
+        raise InvalidInputError(msg)
+    arr = arr.astype(np.float64, copy=False)
     if len(shape) == 1:
         arr = arr.reshape(-1)
-    if arr.shape != shape or not np.all(np.isfinite(arr)):
+    fits = arr.ndim == len(shape) and all(n >= 1 if s is None else n == s for n, s in zip(arr.shape, shape))
+    if not fits or not np.isfinite(arr).all():
         raise InvalidInputError(msg)
     return arr
 
@@ -96,14 +98,8 @@ class PointCloud:
     def __post_init__(self):
         self.points = _as_points(self.points)
         if self.features is not None:
-            feats = np.asarray(self.features, dtype=np.float64)
-            if feats.ndim != 2 or feats.shape[0] != self.points.shape[0]:
-                raise InvalidInputError(
-                    f"features must be (N, C) with N == {self.points.shape[0]}, got shape {feats.shape}"
-                )
-            if not np.all(np.isfinite(feats)):
-                raise InvalidInputError("feature values must be finite")
-            self.features = feats
+            n = self.points.shape[0]
+            self.features = _finite_array(self.features, (n, None), f"features must be a finite ({n}, C) array, C >= 1")
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -170,17 +166,11 @@ class BBox3D:
     yaw: float
 
     def __post_init__(self):
-        c = np.asarray(self.center, dtype=np.float64).reshape(-1)
-        d = np.asarray(self.dims, dtype=np.float64).reshape(-1)
-        if c.shape != (3,) or not np.all(np.isfinite(c)):
-            raise InvalidInputError("bbox center must be a finite 3-vector")
-        if d.shape != (3,) or not np.all(np.isfinite(d)) or np.any(d <= 0):
+        self.center = _finite_array(self.center, (3,), "bbox center must be a finite 3-vector")
+        self.dims = _finite_array(self.dims, (3,), "bbox dims must be three positive finite values")
+        if np.any(self.dims <= 0):
             raise InvalidInputError("bbox dims must be three positive finite values")
-        if not math.isfinite(float(self.yaw)):
-            raise InvalidInputError("bbox yaw must be finite")
-        self.center = c
-        self.dims = d
-        self.yaw = float(self.yaw)
+        self.yaw = float(_finite_array(self.yaw, (), "bbox yaw must be a finite number"))
 
 
 @dataclass
@@ -408,8 +398,10 @@ def front_camera(
     fraction of the half-extent; distance must exceed 1 so the tangent cone
     exists.
     """
+    distance = float(_finite_array(distance, (), "distance must be a finite number"))
     if distance <= 1.0:
         raise InvalidInputError("distance must be > 1 to frame the unit ball")
+    fill = float(_finite_array(fill, (), "fill must be a finite number"))
     if not 0.0 < fill <= 1.0:
         raise InvalidInputError("fill must be in (0, 1]")
     h, w = _resolution(resolution)

@@ -41,9 +41,11 @@ _FD_BLOCK = 32
 
 
 def err_ratio(analytic: np.ndarray, fd: np.ndarray) -> float:
+    """Largest per-entry ratio; inf when any entry is not finite, so a NaN cannot pass."""
     a = np.asarray(analytic, dtype=np.float64).ravel()
     f = np.asarray(fd, dtype=np.float64).ravel()
-    return float(np.max(np.abs(a - f) / (ATOL + RTOL * np.abs(f)))) if a.size else 0.0
+    ratios = np.abs(a - f) / (ATOL + RTOL * np.abs(f))
+    return float(ratios.max(initial=0.0)) if np.all(np.isfinite(ratios)) else np.inf
 
 
 def central_fd(fn, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:

@@ -9,13 +9,12 @@ the hard and soft projection strategies.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import CameraModel, PointCloud, ccm_features
+from .geometry import CameraModel, PointCloud, _finite_array, ccm_features
 from .splatting import (
     FeatureGrid,
     SplatConfig,
@@ -110,8 +109,8 @@ def channel_entropy(
     """
     if bins < 2:
         raise InvalidInputError("bins must be >= 2")
-    lo, hi = float(value_range[0]), float(value_range[1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+    lo, hi = _finite_array(value_range, (2,), "value_range must be finite with lo < hi").tolist()
+    if not lo < hi:
         raise InvalidInputError("value_range must be finite with lo < hi")
     data = grid.data
     if foreground_only:
@@ -135,7 +134,7 @@ def coverage(weights: FeatureGrid, tau: float = COVERAGE_TAU) -> float:
         raise InvalidInputError("coverage expects a weightsum grid")
     if weights.channels != 1:
         raise InvalidInputError("weightsum grids are single-channel")
-    if not (math.isfinite(tau) and tau >= 0):
+    if not _finite_array(tau, (), "tau must be finite and nonnegative") >= 0:
         raise InvalidInputError("tau must be finite and nonnegative")
     return float((weights.data[:, :, 0] > tau).mean())
 
@@ -154,19 +153,13 @@ def cmit(
     return ent.total_bits * coverage(weights, tau)
 
 
-def pmi_field(
-    cloud: PointCloud,
-    cam: CameraModel,
-    cfg: SplatConfig,
-    prior="uniform",
-    floor: float = PMI_FLOOR,
-) -> FeatureGrid:
+def pmi_field(cloud: PointCloud, cam: CameraModel, cfg: SplatConfig, prior="uniform") -> FeatureGrid:
     """Pointwise mutual information log(P_soft / prior) over the pixel grid.
 
     ``prior`` is "uniform" (1 / pixel count) or a strictly positive
     single-channel FeatureGrid summing to anything (caller's responsibility to
     normalize if KL semantics are wanted). The field is clamped below at
-    ``floor`` so that zero-density pixels and underflow-level densities stay
+    PMI_FLOOR so that zero-density pixels and underflow-level densities stay
     ordered consistently. Natural log.
     """
     dens = soft_density_grid(cloud, cam, cfg)
@@ -183,9 +176,9 @@ def pmi_field(
         p = prior.data[:, :, 0]
         if p.min() <= 0.0:
             raise InvalidInputError("prior must be strictly positive everywhere")
-    out = np.full_like(d, float(floor))
+    out = np.full_like(d, PMI_FLOOR)
     nz = d > 0.0
-    out[nz] = np.maximum(np.log(d[nz] / p[nz]), float(floor))
+    out[nz] = np.maximum(np.log(d[nz] / p[nz]), PMI_FLOOR)
     return FeatureGrid(out[:, :, None], semantics="generic", empty=dens.empty)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import _as_points, _sq_dist_rows
+from .geometry import _as_points, _finite_array, _sq_dist_rows
 
 ARC_GRAD_CAP = 1e6
 
@@ -64,28 +64,25 @@ def chamfer(x, y, with_grad: bool = False) -> LossValue:
     return LossValue(value, grad)
 
 
-def chamfer_l1(x, y, halved: bool = True) -> LossValue:
-    """Unsquared (L1-style) Chamfer: mean nearest distances, halved by default."""
+def chamfer_l1(x, y) -> LossValue:
+    """Unsquared (L1-style) Chamfer: half the sum of both directed mean nearest distances."""
     xp, yp = _as_points(x), _as_points(y)
     d_xy, _ = _nn_sq(xp, yp)
     d_yx, _ = _nn_sq(yp, xp)
     value = float(np.sqrt(d_xy).mean() + np.sqrt(d_yx).mean())
-    if halved:
-        value *= 0.5
+    value *= 0.5
     return LossValue(value)
 
 
-def arc_cd(x, y, lam: float, with_grad: bool = False, grad_cap: float = ARC_GRAD_CAP) -> LossValue:
+def arc_cd(x, y, lam: float, with_grad: bool = False) -> LossValue:
     """Arc-compressed Chamfer: lam * arccosh(1 + chamfer(x, y)).
 
     The chain factor 1/sqrt(c^2 + 2c) blows up as c -> 0; it is clamped at
-    ``grad_cap`` and the result flagged when that happens.
+    ARC_GRAD_CAP and the result flagged when that happens.
     """
-    lam = float(lam)
-    if not math.isfinite(lam) or lam < 0:
+    lam = float(_finite_array(lam, (), "lam must be finite and nonnegative"))
+    if lam < 0:
         raise InvalidInputError("lam must be finite and nonnegative")
-    if grad_cap <= 0:
-        raise InvalidInputError("grad_cap must be positive")
     base = chamfer(x, y, with_grad=with_grad)
     c = base.value
     value = lam * float(np.arccosh(1.0 + c))
@@ -94,8 +91,8 @@ def arc_cd(x, y, lam: float, with_grad: bool = False, grad_cap: float = ARC_GRAD
     if with_grad:
         denom_sq = c * c + 2.0 * c
         factor = 1.0 / math.sqrt(denom_sq) if denom_sq > 0 else math.inf
-        if factor > grad_cap:
-            factor = grad_cap
+        if factor > ARC_GRAD_CAP:
+            factor = ARC_GRAD_CAP
             clamped = True
         grad = lam * factor * base.d_X
     return LossValue(value, grad, grad_clamped=clamped)
@@ -108,9 +105,9 @@ def total_loss(stages, gt, lambdas, with_grad: bool = False) -> LossValue:
     requested, d_stages holds one (N_k, 3) array per stage.
     """
     stages = list(stages)
-    lambdas = [float(v) for v in lambdas]
-    if len(stages) < 1 or len(stages) != len(lambdas):
-        raise InvalidInputError("stages and lambdas must have equal length >= 1")
+    lambdas = _finite_array(lambdas, (len(stages),), "lambdas must be one finite number per stage").tolist()
+    if len(stages) < 1:
+        raise InvalidInputError("stages must hold at least one cloud")
     value = 0.0
     grads: list[np.ndarray] = []
     clamped = False
@@ -129,7 +126,7 @@ def fscore(x, y, tau: float) -> float:
     Precision counts x-points within tau of y; recall counts y-points within
     tau of x; distances compare with <= tau. Returns 0 when both are 0.
     """
-    if not (math.isfinite(tau) and tau > 0):
+    if not _finite_array(tau, (), "tau must be finite and positive") > 0:
         raise InvalidInputError("tau must be finite and positive")
     xp, yp = _as_points(x), _as_points(y)
     d_xy, _ = _nn_sq(xp, yp)

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InternalConsistencyError, InvalidInputError
-from .geometry import CameraModel, NeighborGraph, PointCloud, _row_chunks, ccm_features, knn, project_points
+from .geometry import (CameraModel, NeighborGraph, PointCloud, _finite_array, _row_chunks, ccm_features, knn,
+                       project_points)
 from .splatting import SplatConfig, _stepped_losses, splat_backward, splat_forward
 
 EDGECONV_HIDDEN = 32
@@ -28,6 +29,8 @@ PROBE_STEP_PX = 1e-4
 
 
 def _uniform_init(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
+    if min(fan_in, *np.atleast_1d(shape)) < 1:
+        raise InvalidInputError("layer widths must be >= 1")
     bound = 1.0 / math.sqrt(fan_in)
     return rng.uniform(-bound, bound, shape)
 
@@ -139,9 +142,7 @@ def edgeconv_backward(cache: EdgeConvCache, upstream: np.ndarray) -> tuple[np.nd
     """
     n, k = cache.indices.shape
     c = cache.params.b2.shape[0]
-    g = np.asarray(upstream, dtype=np.float64)
-    if g.shape != (n, c):
-        raise InvalidInputError(f"upstream must have shape {(n, c)}, got {g.shape}")
+    g = _finite_array(upstream, (n, c), f"upstream must be a finite array of shape {(n, c)}")
     d_edge_out = np.zeros((n, k, c), dtype=np.float64)
     np.put_along_axis(d_edge_out, cache.argmax[:, None, :], g[:, None, :], axis=1)
     d_out_flat = d_edge_out.reshape(n * k, c)
@@ -205,14 +206,10 @@ def cross_attention(f_geo: np.ndarray, visual: np.ndarray, params: AttentionPara
 
     Score rows are streamed in blocks of at least 64 rows (``geometry._row_chunks``),
     so no N x HW array is built; ``d_visual``, ``d_w_k`` and ``d_w_v`` sum
-    their per-block parts. At least one visual token is required.
+    their per-block parts. Both token matrices need at least one row and one column.
     """
-    geo = np.asarray(f_geo, dtype=np.float64)
-    vis = np.asarray(visual, dtype=np.float64)
-    if geo.ndim != 2 or vis.ndim != 2:
-        raise InvalidInputError("token matrices must be 2-D")
-    if not (np.all(np.isfinite(geo)) and np.all(np.isfinite(vis))):
-        raise InvalidInputError("token matrices must be finite")
+    geo = _finite_array(f_geo, (None, None), "geometry tokens must be a finite, non-empty 2-D array")
+    vis = _finite_array(visual, (None, None), "visual tokens must be a finite, non-empty 2-D array")
     if geo.shape[1] != params.w_q.shape[0] or vis.shape[1] != params.w_k.shape[0]:
         raise InvalidInputError("token widths disagree with projection shapes")
     if params.w_v.shape != (vis.shape[1], geo.shape[1]):
@@ -221,16 +218,9 @@ def cross_attention(f_geo: np.ndarray, visual: np.ndarray, params: AttentionPara
     if params.w_k.shape[1] != d:
         raise InvalidInputError("w_q and w_k must share the projection width")
 
-    if vis.shape[0] < 1:
-        raise InvalidInputError("cross-attention needs at least one visual token")
-    g = None
-    if upstream is not None:
-        g = np.asarray(upstream, dtype=np.float64)
-        if g.shape != geo.shape:
-            raise InvalidInputError(f"upstream must have shape {geo.shape}, got {g.shape}")
-
-    if g is None:
+    if upstream is None:
         return _attention_forward(geo, vis, params.w_q, params.w_k, params.w_v)
+    g = _finite_array(upstream, geo.shape, f"upstream must be a finite array of shape {geo.shape}")
     q, key, val = geo @ params.w_q, vis @ params.w_k, vis @ params.w_v
     scale = math.sqrt(d)
     out = np.empty_like(geo)

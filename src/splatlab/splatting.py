@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalConsistencyError, InvalidInputError
-from .geometry import CameraModel, PointCloud, camera_coords, ccm_features, project_points
+from .geometry import CameraModel, PointCloud, _finite_array, camera_coords, ccm_features, project_points
 
 DEFAULT_RADIUS = 4
 # _stepped_losses re-sums about this many contributions per chunk of copies
@@ -43,12 +43,14 @@ class SplatConfig:
     depth_weighting: bool = True
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise InvalidInputError("sigma must be finite and positive")
-        if int(self.radius) != self.radius or self.radius < 1:
+        for name in ("sigma", "eps_norm", "eps_depth"):
+            msg = f"{name} must be finite and positive"
+            if not _finite_array(getattr(self, name), (), msg) > 0:
+                raise InvalidInputError(msg)
+        # finite first: int() of inf or nan raises
+        radius = _finite_array(self.radius, (), "radius must be an integer >= 1")
+        if int(radius) != radius or radius < 1:
             raise InvalidInputError("radius must be an integer >= 1")
-        if not (self.eps_norm > 0 and self.eps_depth > 0):
-            raise InvalidInputError("eps_norm and eps_depth must be positive")
 
 
 @dataclass
@@ -64,11 +66,7 @@ class FeatureGrid:
     empty: bool = False
 
     def __post_init__(self):
-        d = np.asarray(self.data, dtype=np.float64)
-        if d.ndim != 3 or min(d.shape) < 1:
-            raise InvalidInputError(f"grid data must be (H, W, C), got shape {d.shape}")
-        if not np.all(np.isfinite(d)):
-            raise InvalidInputError("grid data must be finite")
+        d = _finite_array(self.data, (None, None, None), "grid data must be a finite (H, W, C) array")
         if self.semantics not in _SEMANTICS:
             raise InvalidInputError(f"semantics must be one of {_SEMANTICS}")
         if self.semantics == "ccm" and (d.min() < 0.0 or d.max() > 1.0):
@@ -190,12 +188,8 @@ def _pixel_bins(u: np.ndarray, valid: np.ndarray, h: int, w: int) -> tuple[np.nd
 def _check_feats(cloud: PointCloud, feats) -> np.ndarray:
     if feats is None:
         return ccm_features(cloud)
-    f = np.asarray(feats, dtype=np.float64)
-    if f.ndim != 2 or f.shape[0] != len(cloud) or f.shape[1] < 1:
-        raise InvalidInputError(f"features must be (N, C) with N == {len(cloud)}, got {f.shape}")
-    if not np.all(np.isfinite(f)):
-        raise InvalidInputError("feature values must be finite")
-    return f
+    n = len(cloud)
+    return _finite_array(feats, (n, None), f"features must be a finite ({n}, C) array, C >= 1")
 
 
 def splat_forward(
@@ -265,11 +259,7 @@ def splat_backward(
     cam = aux.camera
     h, w = cam.resolution
     c = feats.shape[1]
-    g = np.asarray(upstream, dtype=np.float64)
-    if g.shape != (h, w, c):
-        raise InvalidInputError(f"upstream must have shape {(h, w, c)}, got {g.shape}")
-    if not np.all(np.isfinite(g)):
-        raise InvalidInputError("upstream gradient must be finite")
+    g = _finite_array(upstream, (h, w, c), f"upstream must be a finite array of shape {(h, w, c)}")
 
     n = len(cloud)
     d_points = np.zeros((n, 3), dtype=np.float64)
@@ -573,9 +563,7 @@ def soft_density(cloud: PointCloud, cam: CameraModel, cfg: SplatConfig, q) -> fl
     field integrates to 1 over the grid and sub-pixel queries stay consistent
     with it.
     """
-    qv = np.asarray(q, dtype=np.float64).reshape(-1)
-    if qv.shape != (2,) or not np.all(np.isfinite(qv)):
-        raise InvalidInputError("q must be a finite 2-vector")
+    qv = _finite_array(q, (2,), "q must be a finite 2-vector")
     gy, gx, u, alpha = _density_factors(cloud, cam, cfg)
     total = _density_total(gy, gx, alpha)
     if alpha.size == 0 or total <= 0.0:

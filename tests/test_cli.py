@@ -328,6 +328,14 @@ def test_negative_seed_is_usage_error(argv, cloud_path, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag, value", [("--geo-dim", "0"), ("--geo-dim", "-2"), ("--proj-dim", "0")])
+def test_ablate_layer_width_below_one_is_invalid_input(flag, value, cloud_path, tmp_path, capsys):
+    assert cli.main(["ablate", "--input", cloud_path, "--out", str(tmp_path / "a.json"), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert "layer widths must be >= 1" in err
+    assert "Traceback" not in err
+
+
 def test_no_normalize_flag_respected(tmp_path):
     # far-away points are only representable without normalization if the
     # camera is moved; with normalization the default camera sees them

@@ -194,6 +194,23 @@ def test_ply_trailing_garbage_rejected(tmp_path):
         load_cloud(p)
 
 
+def test_ply_negative_vertex_count_is_bad_element_count(tmp_path):
+    p = tmp_path / "a.ply"
+    p.write_text(_ply_text(-1, "0 0 0\n"))
+    with pytest.raises(ParseError, match="bad element count") as exc:
+        load_cloud(p)
+    assert exc.value.line == 3
+
+
+@pytest.mark.parametrize("name", ["c.xyz", "c.ply"])
+def test_save_cloud_rejects_features_without_three_columns(tmp_path, name):
+    """Neither format can carry (N, 2) features, so both refuse rather than drop them."""
+    cloud = PointCloud(np.zeros((2, 3)), np.full((2, 2), 0.5))
+    with pytest.raises(InvalidInputError):
+        save_cloud(cloud, tmp_path / name)
+    assert not (tmp_path / name).exists()
+
+
 def test_ply_roundtrip_quantizes_rgb(tmp_path):
     rng = np.random.default_rng(1)
     cloud = PointCloud(rng.normal(size=(10, 3)), rng.random((10, 3)))

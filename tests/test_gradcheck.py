@@ -66,6 +66,19 @@ def test_central_fd_rejects_one_loss_per_block():
         central_fd(lambda block: (block * block).sum(axis=1)[:-1], x)
 
 
+def test_nan_gradient_fails_the_suite(monkeypatch):
+    """A NaN analytic gradient in any instance, not only the first, fails run_suite."""
+    def pairs(seed, fd):
+        analytic = np.array([np.nan, 1.0]) if seed == 1 else np.ones(2)
+        return [(analytic, np.ones(2))]
+
+    monkeypatch.setitem(SUITES, "nan_second", pairs)
+    result = run_suite("nan_second", 3)
+    assert result["max_err_ratio"] == np.inf
+    assert result["passed"] is False
+    assert err_ratio(np.array([1.0, np.inf]), np.ones(2)) == np.inf
+
+
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_batched_fd_bit_equal_to_loop_oracle(name):
     """Every FD value of 30 instances per suite is bit for bit the per-coordinate loop's.

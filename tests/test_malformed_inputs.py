@@ -1,0 +1,96 @@
+"""Malformed arrays and numbers raise InvalidInputError at every public input site.
+
+Each site is one call with one argument left open and a valid value for it.
+Every site is fed ragged, string, NaN, inf, wrong-ndim and empty stand-ins
+for that value; none may escape as a raw ValueError, TypeError or
+OverflowError, and none may pass silently.
+"""
+
+import numpy as np
+import pytest
+
+from splatlab.errors import InvalidInputError
+from splatlab.geometry import BBox3D, PointCloud, front_camera, gen_sphere, knn, normalize_unit
+from splatlab.infotheory import channel_entropy, coverage
+from splatlab.losses import arc_cd, chamfer, fscore, total_loss
+from splatlab.nnprims import AttentionParams, MlpParams, cross_attention, edgeconv_backward, edgeconv_forward
+from splatlab.splatting import FeatureGrid, SplatConfig, soft_density, splat_backward, splat_forward
+
+CLOUD = normalize_unit(gen_sphere(6, seed=0))
+PTS = CLOUD.points
+CAM = front_camera((8, 8))
+CFG = SplatConfig()
+FEATS = np.full((6, 2), 0.5)
+_, AUX = splat_forward(CLOUD, FEATS, CAM, CFG)
+_, CACHE = edgeconv_forward(CLOUD, knn(CLOUD, 3), MlpParams.init(6, 8, 4, seed=0))
+PARAMS = AttentionParams.init(4, 3, 4, seed=0)
+GEO, VIS = np.ones((5, 4)), np.ones((6, 3))
+WEIGHTS = FeatureGrid(np.ones((2, 2, 1)), semantics="weightsum")
+
+# site -> (call taking the open argument, a valid value for it)
+SITES = {
+    "PointCloud.points": (lambda v: PointCloud(v), PTS),
+    "chamfer.x": (lambda v: chamfer(v, PTS), PTS),
+    "PointCloud.features": (lambda v: PointCloud(PTS, v), FEATS),
+    "splat_forward.feats": (lambda v: splat_forward(CLOUD, v, CAM, CFG), FEATS),
+    "BBox3D.center": (lambda v: BBox3D(v, [1.0, 1.0, 1.0], 0.0), [0.0, 0.0, 0.0]),
+    "BBox3D.dims": (lambda v: BBox3D([0.0, 0.0, 0.0], v, 0.0), [1.0, 1.0, 1.0]),
+    "BBox3D.yaw": (lambda v: BBox3D([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], v), 0.5),
+    "FeatureGrid.data": (lambda v: FeatureGrid(v), np.ones((2, 2, 1))),
+    "splat_backward.upstream": (lambda v: splat_backward(AUX, CLOUD, FEATS, v), np.ones((8, 8, 2))),
+    "edgeconv_backward.upstream": (lambda v: edgeconv_backward(CACHE, v), np.ones((6, 4))),
+    "cross_attention.f_geo": (lambda v: cross_attention(v, VIS, PARAMS), GEO),
+    "cross_attention.visual": (lambda v: cross_attention(GEO, v, PARAMS), VIS),
+    "cross_attention.upstream": (lambda v: cross_attention(GEO, VIS, PARAMS, upstream=v), GEO),
+    "soft_density.q": (lambda v: soft_density(CLOUD, CAM, CFG, v), [4.0, 4.0]),
+    "SplatConfig.sigma": (lambda v: SplatConfig(sigma=v), 1.5),
+    "SplatConfig.radius": (lambda v: SplatConfig(radius=v), 4),
+    "SplatConfig.eps_norm": (lambda v: SplatConfig(eps_norm=v), 1e-8),
+    "SplatConfig.eps_depth": (lambda v: SplatConfig(eps_depth=v), 1e-6),
+    "arc_cd.lam": (lambda v: arc_cd(PTS, PTS + 1.0, v), 1.0),
+    "total_loss.lambdas": (lambda v: total_loss([PTS, PTS], PTS + 1.0, v), [1.0, 1.0]),
+    "fscore.tau": (lambda v: fscore(PTS, PTS, v), 0.1),
+    "coverage.tau": (lambda v: coverage(WEIGHTS, v), 1e-6),
+    "front_camera.distance": (lambda v: front_camera((8, 8), distance=v), 3.0),
+    "front_camera.fill": (lambda v: front_camera((8, 8), fill=v), 0.85),
+    "channel_entropy.value_range": (lambda v: channel_entropy(WEIGHTS, value_range=v), [0.0, 1.0]),
+}
+
+
+def _malformed(good):
+    """Ragged, string, NaN, inf, wrong-ndim and empty stand-ins for ``good``."""
+    good = np.asarray(good, dtype=np.float64)
+    nan, inf = good.copy(), good.copy()
+    nan.flat[0] = np.nan
+    inf.flat[-1] = np.inf
+    return {
+        "ragged": [[0.0, 1.0], [2.0]],
+        "string": "abc",
+        "nan": nan,
+        "inf": inf,
+        # a vector may come in any layout, so a vector's wrong ndim is a scalar
+        "wrong_ndim": good[0] if good.ndim else [good, good],
+        # no entries along the last axis: (N, 0) features, a (5, 0) token matrix, []
+        "empty": np.zeros(good.shape[:-1] + (0,)) if good.ndim else [],
+    }
+
+
+CASES = [(site, kind, value) for site, (_, good) in SITES.items() for kind, value in _malformed(good).items()]
+CASES += [
+    ("cross_attention.f_geo", "zero_rows", np.zeros((0, 4))),
+    ("cross_attention.visual", "zero_rows", np.zeros((0, 3))),
+    ("SplatConfig.radius", "huge_int", 10**400),
+    ("PointCloud.points", "objects", [[None, 0.0, 0.0]]),
+]
+
+
+@pytest.mark.parametrize("site", sorted(SITES))
+def test_valid_value_passes(site):
+    call, good = SITES[site]
+    call(good)
+
+
+@pytest.mark.parametrize("site, kind, value", CASES, ids=[f"{s}-{k}" for s, k, _ in CASES])
+def test_malformed_value_is_invalid_input(site, kind, value):
+    with pytest.raises(InvalidInputError):
+        SITES[site][0](value)
