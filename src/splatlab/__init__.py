@@ -42,7 +42,6 @@ from .infotheory import (
     EntropyReport,
     StrategyComparison,
     channel_entropy,
-    cmit,
     compare_strategies,
     coverage,
     pmi_field,
@@ -65,7 +64,6 @@ from .gradcheck import central_fd, err_ratio, run_all, run_suite
 from .fileio import (
     dumps_report,
     load_cloud,
-    load_grid,
     load_report,
     save_cloud,
     save_grid,

@@ -38,17 +38,13 @@ def _atomic_write(path, data: bytes) -> None:
         raise
 
 
-def _detect_format(path, fmt: str | None) -> str:
-    if fmt is not None:
-        if fmt not in ("xyz", "ply"):
-            raise InvalidInputError("format must be 'xyz' or 'ply'")
-        return fmt
+def _detect_format(path) -> str:
     suffix = Path(path).suffix.lower()
     if suffix == ".ply":
         return "ply"
     if suffix in (".xyz", ".txt"):
         return "xyz"
-    raise InvalidInputError(f"cannot infer cloud format from suffix {suffix!r}; pass one")
+    raise InvalidInputError(f"cloud files end in .xyz, .txt or .ply, not {suffix!r}")
 
 
 def _read_lines(path) -> list[str]:
@@ -190,9 +186,9 @@ def _reject_missing(path, exc: OSError) -> None:
     raise exc
 
 
-def load_cloud(path, fmt: str | None = None) -> PointCloud:
-    """Read an xyz or PLY cloud; parse failures carry the path and line number."""
-    kind = _detect_format(path, fmt)
+def load_cloud(path) -> PointCloud:
+    """Read an xyz or PLY cloud, as its suffix says; parse failures carry the path and line number."""
+    kind = _detect_format(path)
     try:
         lines = _read_lines(path)
     except OSError as exc:
@@ -200,9 +196,9 @@ def load_cloud(path, fmt: str | None = None) -> PointCloud:
     return (_parse_xyz if kind == "xyz" else _parse_ply)(path, lines)
 
 
-def save_cloud(cloud: PointCloud, path, fmt: str | None = None) -> None:
-    """Write xyz or PLY; floats at 17 significant digits round-trip exactly."""
-    kind = _detect_format(path, fmt)
+def save_cloud(cloud: PointCloud, path) -> None:
+    """Write xyz or PLY, as the suffix says; floats at 17 significant digits round-trip exactly."""
+    kind = _detect_format(path)
     has_rgb = cloud.features is not None
     if has_rgb and cloud.features.shape[1] != 3:
         raise InvalidInputError("xyz and PLY files carry exactly three feature columns")
@@ -266,23 +262,6 @@ def save_grid(grid: FeatureGrid, path, fmt: str = "raw") -> list[str]:
         _atomic_write(target, header + samples.tobytes())
         written.append(str(target))
     return written
-
-
-def load_grid(path) -> FeatureGrid:
-    """Read the raw grid format back; data round-trips bit for bit."""
-    try:
-        with open(path, "rb") as f:
-            blob = f.read()
-    except OSError as exc:
-        _reject_missing(path, exc)
-    if len(blob) < 16 or blob[:4] != GRID_MAGIC:
-        raise InvalidInputError(f"{path}: not a raw grid file")
-    h, w, c = struct.unpack("<III", blob[4:16])
-    expect = 16 + h * w * c * 8
-    if len(blob) != expect:
-        raise InvalidInputError(f"{path}: expected {expect} bytes, found {len(blob)}")
-    data = np.frombuffer(blob, dtype="<f8", offset=16).reshape(h, w, c).astype(np.float64)
-    return FeatureGrid(data, semantics="generic")
 
 
 def _emit(obj, out: list[str], indent: int) -> None:

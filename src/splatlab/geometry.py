@@ -63,22 +63,29 @@ def _finite_array(value, shape: tuple[int | None, ...], msg: str) -> np.ndarray:
     return arr
 
 
+def _count(value, lo: int, msg: str) -> int:
+    """``value`` as an int >= lo, else InvalidInputError(msg).
+
+    Integral reals pass (4.0, numpy integers); strings, None, fractions, NaN,
+    inf and integers too large for a float64 do not.
+    """
+    try:
+        ok = isinstance(value, numbers.Real) and int(value) == value and math.isfinite(float(value))
+    except (ValueError, OverflowError):
+        ok = False
+    if not ok or value < lo:
+        raise InvalidInputError(msg)
+    return int(value)
+
+
 def _resolution(value) -> tuple[int, int]:
     """(height, width) as ints; both entries must be integral numbers >= 1, at most MAX_PIXELS in all."""
+    msg = "resolution must be two integral numbers >= 1"
     try:
         h, w = value
-        integral = all(isinstance(v, numbers.Real) and int(v) == v for v in (h, w))
-    except (TypeError, ValueError, OverflowError):
-        integral = False
-    if not integral:
-        # types only: the repr of an int over 4,300 digits raises ValueError
-        kinds = type(value).__name__
-        if isinstance(value, (tuple, list)):
-            kinds += "(" + ", ".join(type(v).__name__ for v in value[:3]) + ")"
-        raise InvalidInputError(f"resolution must be two integral numbers, got {kinds}")
-    h, w = int(h), int(w)
-    if h < 1 or w < 1:
-        raise InvalidInputError("resolution must be at least 1x1")
+    except (TypeError, ValueError):
+        raise InvalidInputError(msg) from None
+    h, w = _count(h, 1, msg), _count(w, 1, msg)
     if h * w > MAX_PIXELS:
         raise InvalidInputError(f"resolution must have at most {MAX_PIXELS} pixels")
     return h, w
@@ -107,7 +114,7 @@ class PointCloud:
     def with_points(self, points: np.ndarray) -> "PointCloud":
         """Same features, new coordinates."""
         feats = None if self.features is None else self.features.copy()
-        return PointCloud(np.asarray(points, dtype=np.float64).copy(), feats)
+        return PointCloud(_as_points(points).copy(), feats)
 
 
 @dataclass
@@ -181,9 +188,13 @@ class NeighborGraph:
     indices: np.ndarray
 
     def __post_init__(self):
-        idx = np.asarray(self.indices)
-        if idx.ndim != 2 or idx.shape[1] != self.k:
-            raise InvalidInputError(f"indices must be (N, {self.k}), got shape {idx.shape}")
+        try:
+            idx = np.asarray(self.indices)
+            ok = idx.dtype.kind in "iu" and idx.ndim == 2 and idx.shape[1] == self.k
+        except ValueError:  # ragged nesting
+            ok = False
+        if not ok:
+            raise InvalidInputError(f"indices must be an (N, {self.k}) integer array")
         self.indices = idx.astype(np.int64, copy=False)
 
 
@@ -299,8 +310,7 @@ def knn(cloud: PointCloud, k: int) -> NeighborGraph:
     """
     pts = cloud.points
     n = pts.shape[0]
-    if k < 1:
-        raise InvalidInputError("k must be >= 1")
+    k = _count(k, 1, "k must be an integer >= 1")
     if k > MAX_PIXELS // n:
         raise InvalidInputError(f"k must keep the (N, k) neighbor table within {MAX_PIXELS} entries")
     m = min(k, n - 1)  # neighbors that are other points; any slots past m hold the query
@@ -323,9 +333,8 @@ def knn(cloud: PointCloud, k: int) -> NeighborGraph:
 
 def gen_sphere(n: int, seed: int) -> PointCloud:
     """n points drawn uniformly on the unit sphere (normalized Gaussian draws)."""
-    if n < 1:
-        raise InvalidInputError("n must be >= 1")
-    rng = np.random.default_rng(seed)
+    n = _count(n, 1, "n must be an integer >= 1")
+    rng = np.random.default_rng(_count(seed, 0, "seed must be an integer >= 0"))
     v = rng.standard_normal((n, 3))
     norms = np.linalg.norm(v, axis=1)
     while np.any(norms < 1e-12):
@@ -344,11 +353,11 @@ def gen_lidar(n: int, rays: int, seed: int) -> PointCloud:
     n % rays rays one extra. Within a ray the azimuth varies widely while the
     elevation carries only a tiny jitter, giving the ray-like anisotropy.
     """
-    if n < 1:
-        raise InvalidInputError("n must be >= 1")
-    if rays < 1 or rays > n:
+    n = _count(n, 1, "n must be an integer >= 1")
+    rays = _count(rays, 1, "rays must be an integer >= 1")
+    if rays > n:
         raise InvalidInputError("rays must satisfy 1 <= rays <= n")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count(seed, 0, "seed must be an integer >= 0"))
     base, extra = divmod(n, rays)
     if rays == 1:
         elevations = np.array([0.0])

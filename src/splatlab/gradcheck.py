@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import CameraModel, PointCloud, _sq_dist_rows, knn, project_points
+from .geometry import CameraModel, PointCloud, _count, _sq_dist_rows, knn, project_points
 from .losses import arc_cd, chamfer
 from .nnprims import (
     AttentionParams,
@@ -247,8 +247,8 @@ def run_suite(name: str, instances: int, seed: int = 0) -> dict:
     """Run one named suite; reports the worst err ratio and the pass verdict."""
     if name not in SUITES:
         raise InvalidInputError(f"unknown gradcheck suite {name!r}; choose from {sorted(SUITES)}")
-    if instances < 1:
-        raise InvalidInputError("instances must be >= 1")
+    instances = _count(instances, 1, "instances must be an integer >= 1")
+    seed = _count(seed, 0, "seed must be an integer >= 0")
     # central_fd is read from the module at each call, so a wrapper patched over it sees every FD call
     worst = max(_worst(SUITES[name](seed + i, central_fd)) for i in range(instances))
     return {

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import CameraModel, PointCloud, _finite_array, ccm_features
+from .geometry import CameraModel, PointCloud, _count, _finite_array, ccm_features
 from .splatting import (
     FeatureGrid,
     SplatConfig,
@@ -98,28 +98,22 @@ def channel_entropy(
     grid: FeatureGrid,
     bins: int = ENTROPY_BINS,
     value_range: tuple[float, float] = VALUE_RANGE,
-    foreground_only: bool = True,
 ) -> EntropyReport:
-    """Sum of per-channel histogram entropies, in bits.
+    """Sum of per-channel histogram entropies over the foreground, in bits.
 
-    With ``foreground_only`` set, only pixels where some channel is nonzero
-    enter the histograms (background zeros would otherwise dominate every
-    channel). A grid with no foreground yields zero entropy flagged empty.
-    Histogram bins are equal-width over ``value_range``; 0 log 0 counts as 0.
+    Only pixels where some channel is nonzero enter the histograms (background
+    zeros would otherwise dominate every channel). A grid with no foreground
+    yields zero entropy flagged empty. Histogram bins are equal-width over
+    ``value_range``; 0 log 0 counts as 0.
     """
-    if bins < 2:
-        raise InvalidInputError("bins must be >= 2")
+    bins = _count(bins, 2, "bins must be an integer >= 2")
     lo, hi = _finite_array(value_range, (2,), "value_range must be finite with lo < hi").tolist()
     if not lo < hi:
         raise InvalidInputError("value_range must be finite with lo < hi")
-    data = grid.data
-    if foreground_only:
-        mask = np.any(data != 0.0, axis=2)
-        if not mask.any():
-            return EntropyReport([0.0] * grid.channels, 0.0, bins, (lo, hi), empty=True)
-        data = data[mask]
-    else:
-        data = data.reshape(-1, grid.channels)
+    mask = np.any(grid.data != 0.0, axis=2)
+    if not mask.any():
+        return EntropyReport([0.0] * grid.channels, 0.0, bins, (lo, hi), empty=True)
+    data = grid.data[mask]
     per_channel = []
     for ch in range(grid.channels):
         counts = _hist_counts(data[:, ch], bins, lo, hi)
@@ -139,46 +133,19 @@ def coverage(weights: FeatureGrid, tau: float = COVERAGE_TAU) -> float:
     return float((weights.data[:, :, 0] > tau).mean())
 
 
-def cmit(
-    grid: FeatureGrid,
-    weights: FeatureGrid,
-    bins: int = ENTROPY_BINS,
-    value_range: tuple[float, float] = VALUE_RANGE,
-    tau: float = COVERAGE_TAU,
-) -> float:
-    """Channel-masked information throughput: foreground entropy times coverage."""
-    if (grid.height, grid.width) != (weights.height, weights.width):
-        raise InvalidInputError("grid and weights resolutions must match")
-    ent = channel_entropy(grid, bins=bins, value_range=value_range, foreground_only=True)
-    return ent.total_bits * coverage(weights, tau)
+def pmi_field(cloud: PointCloud, cam: CameraModel, cfg: SplatConfig) -> FeatureGrid:
+    """Pointwise mutual information log(P_soft / P_uniform) over the pixel grid.
 
-
-def pmi_field(cloud: PointCloud, cam: CameraModel, cfg: SplatConfig, prior="uniform") -> FeatureGrid:
-    """Pointwise mutual information log(P_soft / prior) over the pixel grid.
-
-    ``prior`` is "uniform" (1 / pixel count) or a strictly positive
-    single-channel FeatureGrid summing to anything (caller's responsibility to
-    normalize if KL semantics are wanted). The field is clamped below at
+    The uniform prior is 1 / pixel count. The field is clamped below at
     PMI_FLOOR so that zero-density pixels and underflow-level densities stay
     ordered consistently. Natural log.
     """
     dens = soft_density_grid(cloud, cam, cfg)
     d = dens.data[:, :, 0]
-    if isinstance(prior, str):
-        if prior != "uniform":
-            raise InvalidInputError("prior must be 'uniform' or a FeatureGrid")
-        p = np.full_like(d, 1.0 / d.size)
-    else:
-        if not isinstance(prior, FeatureGrid):
-            raise InvalidInputError("prior must be 'uniform' or a FeatureGrid")
-        if (prior.height, prior.width) != (dens.height, dens.width) or prior.channels != 1:
-            raise InvalidInputError("prior grid must be single-channel at the camera resolution")
-        p = prior.data[:, :, 0]
-        if p.min() <= 0.0:
-            raise InvalidInputError("prior must be strictly positive everywhere")
     out = np.full_like(d, PMI_FLOOR)
     nz = d > 0.0
-    out[nz] = np.maximum(np.log(d[nz] / p[nz]), PMI_FLOOR)
+    # divide by the prior; d * d.size rounds differently unless d.size is a power of two
+    out[nz] = np.maximum(np.log(d[nz] / (1.0 / d.size)), PMI_FLOOR)
     return FeatureGrid(out[:, :, None], semantics="generic", empty=dens.empty)
 
 
@@ -217,7 +184,7 @@ def compare_strategies(
         ("hard", hard_grid, hard_weights),
         ("soft", soft_grid, soft_weights),
     ):
-        ent = channel_entropy(grid_s, bins=bins, value_range=value_range, foreground_only=True)
+        ent = channel_entropy(grid_s, bins=bins, value_range=value_range)
         cov = coverage(weights_s, tau)
         reports[name] = AnalysisReport(
             entropy=ent,

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InternalConsistencyError, InvalidInputError
-from .geometry import (CameraModel, NeighborGraph, PointCloud, _finite_array, _row_chunks, ccm_features, knn,
-                       project_points)
+from .geometry import (CameraModel, NeighborGraph, PointCloud, _count, _finite_array, _row_chunks, ccm_features,
+                       knn, project_points)
 from .splatting import SplatConfig, _stepped_losses, splat_backward, splat_forward
 
 EDGECONV_HIDDEN = 32
@@ -29,10 +29,10 @@ PROBE_STEP_PX = 1e-4
 
 
 def _uniform_init(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
-    if min(fan_in, *np.atleast_1d(shape)) < 1:
-        raise InvalidInputError("layer widths must be >= 1")
+    msg = "layer widths must be >= 1"
+    fan_in = _count(fan_in, 1, msg)
     bound = 1.0 / math.sqrt(fan_in)
-    return rng.uniform(-bound, bound, shape)
+    return rng.uniform(-bound, bound, [_count(n, 1, msg) for n in np.atleast_1d(shape)])
 
 
 @dataclass
@@ -43,18 +43,16 @@ class MlpParams:
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
-    seed: int | None = None
 
     @classmethod
     def init(cls, in_dim: int, hidden: int, out_dim: int, seed: int) -> "MlpParams":
         """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) init for each layer."""
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_count(seed, 0, "seed must be an integer >= 0"))
         return cls(
             w1=_uniform_init(rng, in_dim, (in_dim, hidden)),
             b1=_uniform_init(rng, in_dim, hidden),
             w2=_uniform_init(rng, hidden, (hidden, out_dim)),
             b2=_uniform_init(rng, hidden, out_dim),
-            seed=seed,
         )
 
 
@@ -65,16 +63,14 @@ class AttentionParams:
     w_q: np.ndarray
     w_k: np.ndarray
     w_v: np.ndarray
-    seed: int | None = None
 
     @classmethod
     def init(cls, geo_dim: int, visual_dim: int, proj_dim: int, seed: int) -> "AttentionParams":
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_count(seed, 0, "seed must be an integer >= 0"))
         return cls(
             w_q=_uniform_init(rng, geo_dim, (geo_dim, proj_dim)),
             w_k=_uniform_init(rng, visual_dim, (visual_dim, proj_dim)),
             w_v=_uniform_init(rng, visual_dim, (visual_dim, geo_dim)),
-            seed=seed,
         )
 
 
@@ -82,7 +78,6 @@ class AttentionParams:
 class EdgeConvCache:
     """Forward intermediates needed to route gradients through the edge max."""
 
-    points: np.ndarray
     indices: np.ndarray
     params: MlpParams
     edge_in: np.ndarray
@@ -127,8 +122,7 @@ def edgeconv_forward(cloud: PointCloud, graph: NeighborGraph, params: MlpParams)
         raise InvalidInputError("graph indices out of range")
     tokens, edge_in, pre_act, hidden, arg = _edgeconv_body(pts, idx, params.w1, params.b1, params.w2, params.b2)
     cache = EdgeConvCache(
-        points=pts, indices=idx, params=params,
-        edge_in=edge_in, pre_act=pre_act, hidden=hidden, argmax=arg,
+        indices=idx, params=params, edge_in=edge_in, pre_act=pre_act, hidden=hidden, argmax=arg,
     )
     return tokens, cache
 
@@ -301,6 +295,7 @@ def grad_flow_probe(cloud: PointCloud, cam: CameraModel, cfg: SplatConfig, mode:
     """
     if mode not in ("hard", "soft"):
         raise InvalidInputError("mode must be 'hard' or 'soft'")
+    seed = _count(seed, 0, "seed must be an integer >= 0")
     feats = ccm_features(cloud)
     pts = cloud.points
     n = pts.shape[0]
@@ -419,6 +414,7 @@ def counterfactual_ablate(
     bit for bit; value_path_only records that check.
     """
     feats = ccm_features(cloud)
+    k = _count(k, 1, "k must be an integer >= 1")
     if params is None:
         params = AblationParams.init(geo_dim, feats.shape[1], proj_dim, seed)
     graph = knn(cloud, min(k, max(1, len(cloud) - 1)))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalConsistencyError, InvalidInputError
-from .geometry import CameraModel, PointCloud, _finite_array, camera_coords, ccm_features, project_points
+from .geometry import CameraModel, PointCloud, _count, _finite_array, camera_coords, ccm_features, project_points
 
 DEFAULT_RADIUS = 4
 # _stepped_losses re-sums about this many contributions per chunk of copies
@@ -47,10 +47,9 @@ class SplatConfig:
             msg = f"{name} must be finite and positive"
             if not _finite_array(getattr(self, name), (), msg) > 0:
                 raise InvalidInputError(msg)
-        # finite first: int() of inf or nan raises
-        radius = _finite_array(self.radius, (), "radius must be an integer >= 1")
-        if int(radius) != radius or radius < 1:
-            raise InvalidInputError("radius must be an integer >= 1")
+        _count(self.radius, 1, "radius must be an integer >= 1")
+        if not isinstance(self.depth_weighting, (bool, np.bool_)):
+            raise InvalidInputError("depth_weighting must be a bool")
 
 
 @dataclass

@@ -1,10 +1,12 @@
-"""Every splatlab name the demos and the benchmark workloads read resolves on the package.
+"""Every splatlab name the demos, the benchmark workloads and the README's quick start read resolves on the package.
 
-The scripts are parsed with ast, never run, so an export pruned from
-``splatlab/__init__.py`` fails here rather than in a demo or a benchmark run.
+The scripts and the README's fenced python blocks are parsed with ast, never
+run, so an export pruned from ``splatlab/__init__.py`` fails here rather than
+in a demo, a benchmark run or the README's first example.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,15 @@ import pytest
 import splatlab
 
 ROOT = Path(__file__).resolve().parent.parent
-SCRIPTS = sorted(ROOT.glob("demos/*.py")) + [ROOT / "bench" / "workloads.py"]
+SCRIPTS = sorted(ROOT.glob("demos/*.py")) + [ROOT / "bench" / "workloads.py", ROOT / "README.md"]
+
+
+def _source(path):
+    """A script's text, or the fenced python blocks of a Markdown file."""
+    text = path.read_text()
+    if path.suffix == ".md":
+        text = "\n".join(re.findall(r"^```python\n(.*?)^```", text, flags=re.M | re.S))
+    return text
 
 
 def _dotted(node):
@@ -48,8 +58,8 @@ def _resolves(name):
     return True
 
 
-@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_script_names_resolve_on_package(path):
-    reads = splatlab_reads(ast.parse(path.read_text()))
+    reads = splatlab_reads(ast.parse(_source(path)))
     assert reads, f"{path.name} reads no splatlab name"
     assert [name for name in sorted(reads) if not _resolves(name)] == []

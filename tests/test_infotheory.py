@@ -10,7 +10,6 @@ from splatlab.errors import InvalidInputError
 from splatlab.geometry import PointCloud, front_camera, gen_lidar, normalize_unit
 from splatlab.infotheory import (
     channel_entropy,
-    cmit,
     compare_strategies,
     coverage,
     pmi_field,
@@ -32,14 +31,14 @@ def test_entropy_constant_grid_is_zero():
 
 
 def test_entropy_two_equal_bins_unmasked():
-    """Half 0.0, half 1.0 is one bit, provided background zeros count."""
-    data = np.zeros((4, 4))
+    """Half 0.25, half 1.0 is one bit; background zeros drop out of the histograms."""
+    data = np.full((4, 4), 0.25)
     data[:2] = 1.0
-    rep = channel_entropy(_grid(data), bins=256, value_range=(0, 1), foreground_only=False)
+    rep = channel_entropy(_grid(data), bins=256, value_range=(0, 1))
     assert rep.per_channel_bits == [1.0]
-    # with masking the zeros drop out and one bin remains
-    masked = channel_entropy(_grid(data), bins=256, value_range=(0, 1), foreground_only=True)
-    assert masked.total_bits == 0.0
+    data[3] = 0.0
+    assert channel_entropy(_grid(data), bins=256, value_range=(0, 1)).per_channel_bits == [
+        pytest.approx(-(2 / 3) * math.log2(2 / 3) - (1 / 3) * math.log2(1 / 3), abs=1e-15)]
 
 
 def test_entropy_uniform_fill_hits_log2_bins():
@@ -134,42 +133,25 @@ def test_coverage_requires_weightsum_grid():
 
 
 def test_cmit_is_exact_product():
-    rng = np.random.default_rng(3)
-    grid = FeatureGrid(rng.random((8, 8, 3)), semantics="ccm")
-    weights = _grid(rng.random((8, 8)), "weightsum")
-    ent = channel_entropy(grid, bins=16, value_range=(0, 1)).total_bits
-    cov = coverage(weights, tau=0.5)
-    assert cmit(grid, weights, bins=16, tau=0.5) == ent * cov
-
-
-def test_cmit_hand_product():
-    # entropy 4 bits: 16 pixels in 16 distinct bins; coverage 0.5 by weights
-    vals = ((np.arange(16) + 0.5) / 16.0).reshape(4, 4)
-    w = np.zeros((4, 4))
-    w[:2] = 1.0
-    assert cmit(_grid(vals), _grid(w, "weightsum"), bins=16, tau=1e-6) == pytest.approx(2.0, abs=1e-12)
+    """Each report's CMIT is its entropy times its coverage, as computed apart from the comparison."""
+    cloud = normalize_unit(gen_lidar(256, 8, 0))
+    comp = compare_strategies(cloud, front_camera((32, 32), 3.0, 0.85), SplatConfig(), bins=16, tau=0.25)
+    for rep, grid, weights in ((comp.hard, comp.hard_grid, comp.hard_weights),
+                               (comp.soft, comp.soft_grid, comp.soft_weights)):
+        ent = channel_entropy(grid, bins=16, value_range=(0, 1)).total_bits
+        cov = coverage(weights, tau=0.25)
+        assert 0.0 < cov < 1.0
+        assert rep.cmit == ent * cov
 
 
 def test_cmit_zero_coverage_annihilates():
-    vals = ((np.arange(16) + 0.5) / 16.0).reshape(4, 4)
-    assert cmit(_grid(vals), _grid(np.zeros((4, 4)), "weightsum"), bins=16, tau=1e-6) == 0.0
-
-
-def test_cmit_resolution_mismatch():
-    with pytest.raises(InvalidInputError):
-        cmit(_grid(np.zeros((4, 4))), _grid(np.zeros((2, 2)), "weightsum"), bins=4, tau=0.1)
-
-
-def test_pmi_log_ratio_against_own_density():
-    """Prior equal to the density itself gives log(1) = 0 on the support."""
-    rng = np.random.default_rng(7)
-    cloud = PointCloud(rng.uniform(-0.5, 0.5, size=(20, 3)))
-    cam = front_camera((16, 16), 3.0, 0.85)
-    cfg = SplatConfig(sigma=4.0)
-    density = soft_density_grid(cloud, cam, cfg)
-    assert (density.data > 0).all()
-    field = pmi_field(cloud, cam, cfg, prior=density)
-    np.testing.assert_allclose(field.data, 0.0, rtol=0, atol=1e-12)
+    """A tau above every weight zeroes both coverages and CMITs, and leaves the ratios undefined."""
+    cloud = normalize_unit(gen_lidar(256, 8, 0))
+    comp = compare_strategies(cloud, front_camera((32, 32), 3.0, 0.85), SplatConfig(), tau=1e9)
+    for rep in (comp.hard, comp.soft):
+        assert rep.entropy.total_bits > 0.0
+        assert rep.coverage == 0.0 and rep.cmit == 0.0
+    assert comp.coverage_ratio is None and comp.cmit_ratio is None
 
 
 def test_pmi_max_at_projected_peak():
@@ -202,14 +184,6 @@ def test_pmi_kl_nonnegative():
         density = soft_density_grid(cloud, cam, cfg).data
         kl = float((density * field.data).sum())
         assert kl >= -1e-9
-
-
-def test_pmi_rejects_bad_prior():
-    cloud = PointCloud(np.array([[0.0, 0.0, 0.0]]))
-    cam = front_camera((8, 8), 3.0, 0.85)
-    bad = _grid(np.zeros((8, 8)))
-    with pytest.raises(InvalidInputError):
-        pmi_field(cloud, cam, SplatConfig(), prior=bad)
 
 
 def test_compare_strategies_fields():

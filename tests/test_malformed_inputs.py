@@ -1,19 +1,24 @@
-"""Malformed arrays and numbers raise InvalidInputError at every public input site.
+"""Malformed arrays, numbers, counts and seeds raise InvalidInputError at every public input site.
 
 Each site is one call with one argument left open and a valid value for it.
-Every site is fed ragged, string, NaN, inf, wrong-ndim and empty stand-ins
-for that value; none may escape as a raw ValueError, TypeError or
-OverflowError, and none may pass silently.
+Every array or real site is fed ragged, string, NaN, inf, wrong-ndim and
+empty stand-ins for that value; every count or seed site is fed a fraction, a
+string, None, inf, NaN, a huge integer and a value below its floor. None may
+escape as a raw ValueError, TypeError or OverflowError, and none may pass
+silently.
 """
 
 import numpy as np
 import pytest
 
 from splatlab.errors import InvalidInputError
-from splatlab.geometry import BBox3D, PointCloud, front_camera, gen_sphere, knn, normalize_unit
+from splatlab.geometry import (BBox3D, NeighborGraph, PointCloud, front_camera, gen_lidar, gen_sphere, knn,
+                               normalize_unit)
+from splatlab.gradcheck import run_all, run_suite
 from splatlab.infotheory import channel_entropy, coverage
 from splatlab.losses import arc_cd, chamfer, fscore, total_loss
-from splatlab.nnprims import AttentionParams, MlpParams, cross_attention, edgeconv_backward, edgeconv_forward
+from splatlab.nnprims import (AttentionParams, MlpParams, counterfactual_ablate, cross_attention, edgeconv_backward,
+                              edgeconv_forward, grad_flow_probe)
 from splatlab.splatting import FeatureGrid, SplatConfig, soft_density, splat_backward, splat_forward
 
 CLOUD = normalize_unit(gen_sphere(6, seed=0))
@@ -32,6 +37,8 @@ SITES = {
     "PointCloud.points": (lambda v: PointCloud(v), PTS),
     "chamfer.x": (lambda v: chamfer(v, PTS), PTS),
     "PointCloud.features": (lambda v: PointCloud(PTS, v), FEATS),
+    "PointCloud.with_points": (lambda v: CLOUD.with_points(v), PTS),
+    "NeighborGraph.indices": (lambda v: NeighborGraph(1, v), [[0], [1]]),
     "splat_forward.feats": (lambda v: splat_forward(CLOUD, v, CAM, CFG), FEATS),
     "BBox3D.center": (lambda v: BBox3D(v, [1.0, 1.0, 1.0], 0.0), [0.0, 0.0, 0.0]),
     "BBox3D.dims": (lambda v: BBox3D([0.0, 0.0, 0.0], v, 0.0), [1.0, 1.0, 1.0]),
@@ -81,6 +88,7 @@ CASES += [
     ("cross_attention.visual", "zero_rows", np.zeros((0, 3))),
     ("SplatConfig.radius", "huge_int", 10**400),
     ("PointCloud.points", "objects", [[None, 0.0, 0.0]]),
+    ("NeighborGraph.indices", "fraction", [[0], [1.5]]),
 ]
 
 
@@ -94,3 +102,53 @@ def test_valid_value_passes(site):
 def test_malformed_value_is_invalid_input(site, kind, value):
     with pytest.raises(InvalidInputError):
         SITES[site][0](value)
+
+
+# count or seed site -> (call taking the open argument, a valid value, the least valid value)
+COUNT_SITES = {
+    "knn.k": (lambda v: knn(CLOUD, v), 3, 1),
+    "gen_sphere.n": (lambda v: gen_sphere(v, 0), 4, 1),
+    "gen_sphere.seed": (lambda v: gen_sphere(4, v), 0, 0),
+    "gen_lidar.n": (lambda v: gen_lidar(v, 1, 0), 4, 1),
+    "gen_lidar.rays": (lambda v: gen_lidar(4, v, 0), 2, 1),
+    "gen_lidar.seed": (lambda v: gen_lidar(4, 2, v), 0, 0),
+    "front_camera.resolution": (lambda v: front_camera((v, 8)), 8, 1),
+    "SplatConfig.radius": (lambda v: SplatConfig(radius=v), 4, 1),
+    "channel_entropy.bins": (lambda v: channel_entropy(WEIGHTS, bins=v), 16, 2),
+    "run_suite.instances": (lambda v: run_suite("chamfer", v), 1, 1),
+    "run_suite.seed": (lambda v: run_suite("chamfer", 1, seed=v), 0, 0),
+    "run_all.seed": (lambda v: run_all(1, seed=v), 0, 0),
+    "MlpParams.init.hidden": (lambda v: MlpParams.init(6, v, 4, 0), 8, 1),
+    "MlpParams.init.seed": (lambda v: MlpParams.init(6, 8, 4, v), 0, 0),
+    "AttentionParams.init.proj_dim": (lambda v: AttentionParams.init(4, 3, v, 0), 4, 1),
+    "AttentionParams.init.seed": (lambda v: AttentionParams.init(4, 3, 4, v), 0, 0),
+    "grad_flow_probe.seed": (lambda v: grad_flow_probe(CLOUD, CAM, CFG, "hard", v), 0, 0),
+    "counterfactual_ablate.seed": (lambda v: counterfactual_ablate(CLOUD, CAM, CFG, seed=v), 0, 0),
+    "counterfactual_ablate.k": (lambda v: counterfactual_ablate(CLOUD, CAM, CFG, k=v), 3, 1),
+}
+
+COUNT_CASES = [(site, kind, value) for site, (_, _, floor) in COUNT_SITES.items() for kind, value in
+               {"fraction": 1.5, "string": "2", "none": None, "inf": np.inf, "nan": np.nan, "huge": 10**400,
+                "below_floor": floor - 1}.items()]
+
+
+@pytest.mark.parametrize("site", sorted(COUNT_SITES))
+def test_integral_count_passes(site):
+    call, good, _ = COUNT_SITES[site]
+    call(good)
+    call(float(good))
+    call(np.int64(good))
+
+
+@pytest.mark.parametrize("site, kind, value", COUNT_CASES, ids=[f"{s}-{k}" for s, k, _ in COUNT_CASES])
+def test_malformed_count_is_invalid_input(site, kind, value):
+    with pytest.raises(InvalidInputError):
+        COUNT_SITES[site][0](value)
+
+
+def test_depth_weighting_must_be_a_bool():
+    for bad in ("off", 1, None):
+        with pytest.raises(InvalidInputError):
+            SplatConfig(depth_weighting=bad)
+    grid, _ = splat_forward(CLOUD, FEATS, CAM, SplatConfig(depth_weighting=np.bool_(False)))
+    assert np.array_equal(grid.data, splat_forward(CLOUD, FEATS, CAM, SplatConfig(depth_weighting=False))[0].data)
