@@ -13,6 +13,12 @@ through the kernel, the depth factor and the pinhole projection.
 Accumulation order is fixed: every pixel sums its contributions in ascending
 point index, so the vectorized path and the sequential reference path are
 bit-for-bit identical.
+
+Both passes stream the valid points in blocks (``_contribution_blocks``) and
+keep no per-contribution list: the backward recomputes each block's window
+weights from u, z and the config, through the same arrays and the same
+``np.exp`` as the forward, so they are the forward's bit for bit. Working
+memory is O(N + H*W*C) plus about 1 MB of window cells per block.
 """
 
 from __future__ import annotations
@@ -23,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalConsistencyError, InvalidInputError
-from .geometry import CameraModel, PointCloud, _count, _finite_array, camera_coords, ccm_features, project_points
+from .geometry import (CameraModel, PointCloud, _count, _finite_array, _row_chunks, camera_coords, ccm_features,
+                       project_points)
 
 DEFAULT_RADIUS = 4
 # _stepped_losses re-sums about this many contributions per chunk of copies
@@ -91,19 +98,16 @@ class FeatureGrid:
 class SplatAux:
     """Forward-pass bookkeeping needed by splat_backward.
 
-    The contrib_* arrays hold one entry per (point, pixel) contribution, ordered
-    by point index, then window row, then window column; ``contrib_pixel`` is
-    the row-major pixel id (row * width + col). ``weight_sum`` is the per-pixel
-    sum of contributor weights and ``value`` the normalized (H, W, C) grid.
-    splat_backward reads per-point values once per run of equal ``contrib_point``.
+    Only per-point and per-pixel arrays: the projection (u, z, valid), the
+    per-pixel sum of contributor weights ``weight_sum`` and the normalized
+    (H, W, C) grid ``value``. ``n_contrib`` counts the (point, pixel)
+    contributions; splat_backward recomputes them block by block.
     """
 
     u: np.ndarray
     z: np.ndarray
     valid: np.ndarray
-    contrib_point: np.ndarray
-    contrib_pixel: np.ndarray
-    contrib_weight: np.ndarray
+    n_contrib: int
     weight_sum: np.ndarray
     value: np.ndarray
     config: SplatConfig
@@ -111,7 +115,7 @@ class SplatAux:
 
     def weight_grid(self) -> FeatureGrid:
         return FeatureGrid(self.weight_sum[:, :, None].copy(), semantics="weightsum",
-                           empty=bool(self.contrib_point.size == 0))
+                           empty=self.n_contrib == 0)
 
 
 @dataclass
@@ -159,16 +163,43 @@ def _window_cells(u: np.ndarray, reach: float, h: int, w: int) -> tuple[np.ndarr
     return point, pixel, dx, dy
 
 
+def _window_chunks(n_rows: int, reach: float, h: int, w: int):
+    """geometry._row_chunks over n_rows windows of the given reach, about 1 MB of cells each.
+
+    A window spans at most floor(2 reach) + 1 cells per axis, one more when
+    rounding widens its bounds, and never more than the grid; clipping to the
+    grid before the floor keeps a huge reach from overflowing.
+    """
+    span = 2.0 * reach + 2.0
+    return _row_chunks(n_rows, 8 * math.floor(min(span, h)) * math.floor(min(span, w)))
+
+
 def _contributions(u: np.ndarray, z: np.ndarray, valid: np.ndarray, cfg: SplatConfig,
                    h: int, w: int) -> tuple[np.ndarray, ...]:
-    """(point, pixel, weight) of every window cell of every valid row of u, in point order."""
-    vis = np.flatnonzero(valid)
+    """(point, pixel, weight) of every window cell of every valid row of u, in point order.
+
+    ``valid`` is a boolean mask over the rows of u or their ascending indices.
+    """
+    vis = np.flatnonzero(valid) if valid.dtype == bool else valid
     k, pixel, dx, dy = _window_cells(u[vis], cfg.radius, h, w)
     inv_two_sigma2 = 1.0 / (2.0 * cfg.sigma * cfg.sigma)
     weight = np.exp(-(dy ** 2 + dx ** 2) * inv_two_sigma2)
     if cfg.depth_weighting:
         weight *= (1.0 / (z[vis] + cfg.eps_depth))[k]
     return vis[k], pixel, weight
+
+
+def _contribution_blocks(u: np.ndarray, z: np.ndarray, valid: np.ndarray, cfg: SplatConfig, h: int, w: int):
+    """Yield _contributions per block of the valid rows of u; the blocks concatenate to the whole list.
+
+    The blocks depend only on ``valid``, the config and the resolution, so the
+    forward, the backward and the probe see the same blocks and weight bits.
+    A point's contributions never straddle two blocks.
+    """
+    vis = np.flatnonzero(valid)
+    # with nothing valid, one empty block keeps every caller's outputs typed
+    for rows in _window_chunks(max(vis.size, 1), cfg.radius, h, w):
+        yield _contributions(u, z, vis[rows], cfg, h, w)
 
 
 def _pixel_bins(u: np.ndarray, valid: np.ndarray, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
@@ -210,20 +241,26 @@ def splat_forward(
     u, z, valid = project_points(cam, cloud.points)
     h, w = cam.resolution
     c = feats.shape[1]
-    point, pixel, weight = _contributions(u, z, valid, cfg, h, w)
-
     # every pixel sums its contributions in list order, i.e. ascending point index
+    den = np.zeros(h * w, dtype=np.float64)
     if sequential:
-        den = np.zeros(h * w, dtype=np.float64)
+        point, pixel, weight = _contributions(u, z, valid, cfg, h, w)
+        n_contrib = point.size
         num = np.zeros((h * w, c), dtype=np.float64)
         for p, pix, wgt in zip(point, pixel, weight):
             den[pix] += wgt
             for ch in range(c):
                 num[pix, ch] += wgt * feats[p, ch]
     else:
-        den = np.bincount(pixel, weights=weight, minlength=h * w)
-        num = np.stack([np.bincount(pixel, weights=weight * feats[:, ch][point], minlength=h * w)
-                        for ch in range(c)], axis=1)
+        # np.add.at adds each block in list order, as one bincount over the whole list would
+        n_contrib = 0
+        num = np.zeros((c, h * w), dtype=np.float64)
+        for point, pixel, weight in _contribution_blocks(u, z, valid, cfg, h, w):
+            n_contrib += point.size
+            np.add.at(den, pixel, weight)
+            for ch in range(c):
+                np.add.at(num[ch], pixel, weight * feats[:, ch][point])
+        num = num.T
     den = den.reshape(h, w)
 
     if not np.all(np.isfinite(den)):
@@ -231,12 +268,9 @@ def splat_forward(
 
     value = num.reshape(h, w, c) / (den + cfg.eps_norm)[:, :, None]
     # the grid gets its own copy, so editing it cannot change the backward pass
-    grid = FeatureGrid(value.copy(), semantics=semantics, empty=bool(point.size == 0))
-    aux = SplatAux(
-        u=u, z=z, valid=valid,
-        contrib_point=point, contrib_pixel=pixel, contrib_weight=weight,
-        weight_sum=den, value=value, config=cfg, camera=cam,
-    )
+    grid = FeatureGrid(value.copy(), semantics=semantics, empty=n_contrib == 0)
+    aux = SplatAux(u=u, z=z, valid=valid, n_contrib=n_contrib, weight_sum=den, value=value,
+                   config=cfg, camera=cam)
     return grid, aux
 
 
@@ -251,7 +285,8 @@ def splat_backward(
 
     ``upstream`` is dL/dV with the grid's (H, W, C) shape. Culled points and
     points whose window missed the grid receive zero gradient. d_sigma is
-    returned only when ``with_sigma`` is set.
+    returned only when ``with_sigma`` is set; it is the one per-contribution
+    array, 8 bytes per contribution, that the pass allocates.
     """
     feats = _check_feats(cloud, feats)
     cfg = aux.config
@@ -262,45 +297,59 @@ def splat_backward(
 
     n = len(cloud)
     d_points = np.zeros((n, 3), dtype=np.float64)
-    k = aux.contrib_point
-    pixel = aux.contrib_pixel
-    wgt = aux.contrib_weight
-    # contributions come in runs of one point; per-point values are repeated over their run
-    starts = np.flatnonzero(np.diff(k, prepend=-1) != 0)
-    pts = k[starts]
-    counts = np.diff(starts, append=k.size)
-    g_pix = np.take(g.reshape(-1, c), pixel, axis=0)
-    inv_den = (1.0 / (aux.weight_sum.reshape(-1) + cfg.eps_norm))[pixel]
-
-    def per_point(x):
-        # bincount adds in contribution order, so every point sums in a fixed order
-        return np.bincount(k, weights=x, minlength=n)
-
-    # dL/df_k and dL/dw_k at each contribution
-    wgt_inv_den = wgt * inv_den
-    d_features = np.stack([per_point(g_pix[:, ch] * wgt_inv_den) for ch in range(c)], axis=1)
-    diff = np.repeat(feats[pts], counts, axis=0)
-    diff -= np.take(aux.value.reshape(-1, c), pixel, axis=0)
-    # the einsum stays on (m, C) rows: its channel order is not that of a per-channel sum
-    d_w = np.einsum("mc,mc->m", g_pix, diff) * inv_den
-    # drop the (m, C) rows before the kernel chain allocates, which lowers peak memory
-    del g_pix, diff
-
-    # kernel chain: dw/du = w (q - u) / sigma^2, dw/dz = -w / (z + eps_depth)
+    d_features = np.zeros((n, c), dtype=np.float64)
+    d_u = np.zeros((n, 2), dtype=np.float64)
+    d_z = np.zeros(n, dtype=np.float64)
+    g_flat = g.reshape(-1, c)
+    value = aux.value.reshape(-1, c)
+    inv_den_grid = 1.0 / (aux.weight_sum.reshape(-1) + cfg.eps_norm)
     centers = np.arange(h * w)
-    ex = ((centers % w) + 0.5)[pixel] - np.repeat(aux.u[pts, 0], counts)
-    ey = ((centers // w) + 0.5)[pixel] - np.repeat(aux.u[pts, 1], counts)
+    center_x = (centers % w) + 0.5
+    center_y = (centers // w) + 0.5
     inv_sigma2 = 1.0 / (cfg.sigma * cfg.sigma)
-    s = d_w * wgt
-    d_u = np.stack([per_point(s * ex * inv_sigma2), per_point(s * ey * inv_sigma2)], axis=1)
-    if cfg.depth_weighting:
-        d_z = per_point(-s / np.repeat(aux.z[pts] + cfg.eps_depth, counts))
-    else:
-        d_z = np.zeros(n, dtype=np.float64)
+    # np.sum over the point-major list sums as a pairwise tree, so the d_sigma
+    # terms of every block go into one buffer: 8 bytes per contribution
+    sigma_terms = np.empty(aux.n_contrib, dtype=np.float64) if with_sigma else None
+    at = 0
+
+    for k, pixel, wgt in _contribution_blocks(aux.u, aux.z, aux.valid, cfg, h, w):
+        # contributions come in runs of one point; per-point values are repeated over their run
+        starts = np.flatnonzero(np.diff(k, prepend=-1) != 0)
+        pts = k[starts]
+        counts = np.diff(starts, append=k.size)
+        run = np.repeat(np.arange(pts.size), counts)
+        g_pix = np.take(g_flat, pixel, axis=0)
+        inv_den = inv_den_grid[pixel]
+
+        def per_point(x):
+            # bincount adds in contribution order, so every point sums in a fixed order
+            return np.bincount(run, weights=x, minlength=pts.size)
+
+        # dL/df_k and dL/dw_k at each contribution
+        wgt_inv_den = wgt * inv_den
+        d_features[pts] = np.stack([per_point(g_pix[:, ch] * wgt_inv_den) for ch in range(c)], axis=1)
+        diff = np.repeat(feats[pts], counts, axis=0)
+        diff -= np.take(value, pixel, axis=0)
+        # the einsum stays on (m, C) rows: its channel order is not that of a per-channel sum
+        d_w = np.einsum("mc,mc->m", g_pix, diff) * inv_den
+        # drop the (m, C) rows before the kernel chain allocates, which lowers peak memory
+        del g_pix, diff
+
+        # kernel chain: dw/du = w (q - u) / sigma^2, dw/dz = -w / (z + eps_depth)
+        ex = center_x[pixel] - np.repeat(aux.u[pts, 0], counts)
+        ey = center_y[pixel] - np.repeat(aux.u[pts, 1], counts)
+        s = d_w * wgt
+        d_u[pts, 0] = per_point(s * ex * inv_sigma2)
+        d_u[pts, 1] = per_point(s * ey * inv_sigma2)
+        if cfg.depth_weighting:
+            d_z[pts] = per_point(-s / np.repeat(aux.z[pts] + cfg.eps_depth, counts))
+        if with_sigma:
+            sigma_terms[at : at + k.size] = s * (ex * ex + ey * ey)
+            at += k.size
 
     d_sigma = None
     if with_sigma:
-        d_sigma = float(np.sum(s * (ex * ex + ey * ey)) / cfg.sigma**3)
+        d_sigma = float(np.sum(sigma_terms) / cfg.sigma**3)
 
     # projection chain: u = (fx x/z + cx, fy y/z + cy), depth passthrough z
     fx, fy = cam.focal
@@ -362,7 +411,9 @@ def _stepped_losses(cloud: PointCloud, feats: np.ndarray, cam: CameraModel, cfg:
     grid where the moved point can change it: its old and new windows (soft,
     re-summed in ascending point order as splat_forward sums) or its old and
     new bins (hard, the lowest (z, index) wins). The sums are bit for bit
-    those of a full re-splat of each copy.
+    those of a full re-splat of each copy. In soft mode the base contribution
+    list, which the patches re-sum from, is the concatenation of the forward's
+    ``_contribution_blocks``.
 
     Returns (total, sums, moved, aux). moved[j] is set when the copy's point
     is culled, shifts its clipped window (soft) or its floor(u) cell (hard),
@@ -375,10 +426,12 @@ def _stepped_losses(cloud: PointCloud, feats: np.ndarray, cam: CameraModel, cfg:
     if mode == "soft":
         _, aux = splat_forward(cloud, feats, cam, cfg)
         u0, base = aux.u, aux.value.reshape(hw, c)
-        k, pixel = aux.contrib_point, aux.contrib_pixel
+        # the forward's blocks, so the base weights are its bits
+        k, pixel, weight = (np.concatenate(parts) for parts in
+                            zip(*_contribution_blocks(u0, aux.z, aux.valid, cfg, h, w)))
         # contributions indexed pixel-major; within a pixel, point order
         by_pixel = np.argsort(pixel, kind="stable")
-        pm_point, pm_weight = k[by_pixel], aux.contrib_weight[by_pixel]
+        pm_point, pm_weight = k[by_pixel], weight[by_pixel]
         occupancy = np.bincount(pixel, minlength=hw)
         pm_start = np.concatenate(([0], np.cumsum(occupancy)))
         run_start = np.searchsorted(k, owner)
@@ -590,12 +643,8 @@ def support_measure(cloud: PointCloud, cam: CameraModel, cfg: SplatConfig, mode:
     mask[_pixel_bins(u, valid, h, w)[1]] = True
     if mode == "soft":
         reach = 3.0 * cfg.sigma
-        # a window spans at most floor(2 reach) + 1 cells per axis, one more when
-        # rounding widens its bounds; chunks of points keep 2**20 cells at most
-        span = math.floor(2.0 * reach) + 2
-        chunk = max(1, 2**20 // (min(span, h) * min(span, w)))
         uv = u[valid]
-        for start in range(0, len(uv), chunk):
-            _, pixel, dx, dy = _window_cells(uv[start : start + chunk], reach, h, w)
+        for rows in _window_chunks(len(uv), reach, h, w):
+            _, pixel, dx, dy = _window_cells(uv[rows], reach, h, w)
             mask[pixel[dy ** 2 + dx ** 2 <= reach * reach]] = True
     return float(mask.sum())

@@ -6,6 +6,7 @@ windowing machinery.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,6 +19,8 @@ from splatlab.geometry import CameraModel, PointCloud, camera_coords, front_came
 from splatlab.infotheory import PMI_FLOOR, pmi_field
 from splatlab.splatting import (
     SplatConfig,
+    _contribution_blocks,
+    _contributions,
     _scatter_min_depth,
     hard_hit_count,
     rasterize_hard,
@@ -80,7 +83,7 @@ def gather_backward(aux, cloud, feats, upstream):
     c = feats.shape[1]
     g = np.asarray(upstream, dtype=np.float64)
     n = len(cloud)
-    k, pixel, wgt = aux.contrib_point, aux.contrib_pixel, aux.contrib_weight
+    k, pixel, wgt = _contributions(aux.u, aux.z, aux.valid, cfg, h, w)
     g_pix = g.reshape(-1, c)[pixel]
     inv_den = 1.0 / (aux.weight_sum.reshape(-1)[pixel] + cfg.eps_norm)
 
@@ -223,8 +226,10 @@ def test_sequential_equals_parallel_bitwise(seed, n, h, w, sigma, radius, depth_
     pairs = [(k, pix) for k in np.flatnonzero(valid) for pix in range(h * w)
              if abs(cols[pix] + 0.5 - u[k, 0]) <= radius and abs(rows[pix] + 0.5 - u[k, 1]) <= radius]
     expected = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    assert np.array_equal(par_aux.contrib_point, expected[:, 0])
-    assert np.array_equal(par_aux.contrib_pixel, expected[:, 1])
+    point, pixel, _ = _contributions(par_aux.u, par_aux.z, par_aux.valid, cfg, h, w)
+    assert np.array_equal(point, expected[:, 0])
+    assert np.array_equal(pixel, expected[:, 1])
+    assert par_aux.n_contrib == len(pairs)
     assert par.empty == (len(pairs) == 0)
 
 
@@ -247,12 +252,69 @@ def test_backward_matches_gather_oracle_bitwise(seed, n, h, w, sigma, radius, c,
     cloud = PointCloud(pts)
     _, aux = splat_forward(cloud, feats, cam, cfg)
     if culled == 1.0:
-        assert aux.contrib_point.size == 0
+        assert aux.n_contrib == 0
+        assert aux.weight_grid().empty
     got = splat_backward(aux, cloud, feats, upstream, with_sigma=True)
     d_points, d_features, d_sigma = gather_backward(aux, cloud, feats, upstream)
     assert np.array_equal(got.d_points, d_points)
     assert np.array_equal(got.d_features, d_features)
     assert got.d_sigma == d_sigma
+
+
+@pytest.mark.parametrize("n, h, w, radius", [(3000, 40, 48, 4), (600, 24, 20, 30)])
+def test_blocked_splat_matches_whole_list_bitwise(n, h, w, radius):
+    """Across at least three point blocks, both passes keep the whole-list sums bit for bit.
+
+    The forward equals one bincount over the unblocked contribution list and
+    the backward the gather oracle; at radius 30 every window is clipped.
+    """
+    rng = np.random.default_rng(n + radius)
+    pts = rng.uniform(-0.9, 0.9, size=(n, 3))
+    feats = rng.random((n, 3))
+    upstream = rng.standard_normal((h, w, 3))
+    cam = front_camera((h, w), 3.0, 0.85)
+    cfg = SplatConfig(sigma=radius / 3.0, radius=radius)
+    cloud = PointCloud(pts)
+    grid, aux = splat_forward(cloud, feats, cam, cfg)
+    assert len(list(_contribution_blocks(aux.u, aux.z, aux.valid, cfg, h, w))) >= 3
+
+    point, pixel, weight = _contributions(aux.u, aux.z, aux.valid, cfg, h, w)
+    assert aux.n_contrib == point.size
+    den = np.bincount(pixel, weights=weight, minlength=h * w).reshape(h, w)
+    num = np.stack([np.bincount(pixel, weights=weight * feats[:, ch][point], minlength=h * w)
+                    for ch in range(3)], axis=1)
+    assert np.array_equal(aux.weight_sum, den)
+    assert np.array_equal(grid.data, num.reshape(h, w, 3) / (den + cfg.eps_norm)[:, :, None])
+
+    got = splat_backward(aux, cloud, feats, upstream, with_sigma=True)
+    d_points, d_features, d_sigma = gather_backward(aux, cloud, feats, upstream)
+    assert np.array_equal(got.d_points, d_points)
+    assert np.array_equal(got.d_features, d_features)
+    assert got.d_sigma == d_sigma
+
+
+def test_splat_memory_stays_flat_in_contribution_count():
+    """At radius 40 on 32x32 every point covers the grid; 4x the points may not cost 4x the memory."""
+    h = w = 32
+    cam = front_camera((h, w), 3.0, 0.85)
+    cfg = SplatConfig(sigma=4.0, radius=40)
+    peaks = []
+    for n in (600, 2400):
+        rng = np.random.default_rng(n)
+        cloud = PointCloud(rng.uniform(-0.9, 0.9, size=(n, 3)))
+        feats = rng.random((n, 3))
+        upstream = rng.standard_normal((h, w, 3))
+        tracemalloc.start()
+        try:
+            _, aux = splat_forward(cloud, feats, cam, cfg)
+            splat_backward(aux, cloud, feats, upstream)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert aux.n_contrib > n * h * w // 2
+        arrays = [v for v in vars(aux).values() if isinstance(v, np.ndarray)]
+        assert all(a.size <= max(2 * n, h * w * 3) for a in arrays)
+    assert peaks[1] <= 1.25 * peaks[0]
 
 
 def test_translation_equivariance_integer_shift():
@@ -466,6 +528,13 @@ def test_support_soft_disc_area():
     area = support_measure(PointCloud(p[None, :]), cam, cfg, "soft")
     assert area == 317.0
     assert abs(area - math.pi * 100.0) / (math.pi * 100.0) < 0.05
+
+
+def test_support_soft_huge_sigma_covers_grid():
+    """A 3 sigma reach past float64 range still covers every pixel, without an overflow."""
+    cam = _cam(side=16, focal=8.0)
+    cloud = PointCloud(np.array([[0.0, 0.0, 0.0], [0.1, -0.2, 0.3]]))
+    assert support_measure(cloud, cam, SplatConfig(sigma=1e308), "soft") == 256.0
 
 
 def test_support_soft_disjoint_union_doubles():
