@@ -268,13 +268,14 @@ def normalize_kitti(cloud: PointCloud, bbox: BBox3D) -> PointCloud:
     return cloud.with_points(pts[:, [0, 2, 1]])
 
 
-def _row_chunks(n_rows: int, bytes_per_row: int):
+def _row_chunks(n_rows: int, bytes_per_row: int, min_rows: int = _MIN_CHUNK_ROWS):
     """Slices covering range(n_rows) in order, each block's temporary about _CHUNK_BYTES.
 
-    Blocks never drop below _MIN_CHUNK_ROWS rows (except the tail): a block of
-    one row turns a BLAS gemm into a gemv, whose sums round differently.
+    Blocks never drop below min_rows rows (except the tail). The default keeps
+    _MIN_CHUNK_ROWS: a block of one row turns a BLAS gemm into a gemv, whose
+    sums round differently. Kernels without BLAS can pass 1.
     """
-    step = max(_MIN_CHUNK_ROWS, _CHUNK_BYTES // max(bytes_per_row, 1))
+    step = max(min_rows, _CHUNK_BYTES // max(bytes_per_row, 1))
     for start in range(0, n_rows, step):
         yield slice(start, min(n_rows, start + step))
 

@@ -168,10 +168,12 @@ def _window_chunks(n_rows: int, reach: float, h: int, w: int):
 
     A window spans at most floor(2 reach) + 1 cells per axis, one more when
     rounding widens its bounds, and never more than the grid; clipping to the
-    grid before the floor keeps a huge reach from overflowing.
+    grid before the floor keeps a huge reach from overflowing. No BLAS call
+    sees these blocks, so they may shrink to one window: a window that covers
+    a large grid then costs about H*W cells, not 64 H*W.
     """
     span = 2.0 * reach + 2.0
-    return _row_chunks(n_rows, 8 * math.floor(min(span, h)) * math.floor(min(span, w)))
+    return _row_chunks(n_rows, 8 * math.floor(min(span, h)) * math.floor(min(span, w)), min_rows=1)
 
 
 def _contributions(u: np.ndarray, z: np.ndarray, valid: np.ndarray, cfg: SplatConfig,

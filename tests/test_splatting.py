@@ -537,6 +537,25 @@ def test_support_soft_huge_sigma_covers_grid():
     assert support_measure(cloud, cam, SplatConfig(sigma=1e308), "soft") == 256.0
 
 
+def test_support_soft_memory_stays_near_one_block():
+    """At a reach past the grid every window is the whole 256x256 grid.
+
+    Blocks of about 1 MB of window cells, down to one window, keep the traced
+    peak near 8 MiB; blocks of 64 whole-grid windows would take about 260 MiB.
+    """
+    rng = np.random.default_rng(0)
+    cloud = PointCloud(rng.uniform(-0.9, 0.9, size=(128, 3)))
+    cam = front_camera((256, 256), 3.0, 0.85)
+    tracemalloc.start()
+    try:
+        area = support_measure(cloud, cam, SplatConfig(sigma=1000.0), "soft")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert area == 256.0 * 256.0
+    assert peak < 16 * 2**20
+
+
 def test_support_soft_disjoint_union_doubles():
     cam = _cam(side=64, focal=30.0, depth=0.0)
     pa = _point_at_pixel_center(cam, 16, 16, depth=1.0)
