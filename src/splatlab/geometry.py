@@ -27,8 +27,10 @@ FRONT_DISTANCE = 3.0
 FRONT_FILL = 0.85
 # largest pixel grid a camera may have: 2**26 float64 pixels are 512 MB per channel
 MAX_PIXELS = 2**26
-# row-blocked kernels (knn, nearest-neighbor scans, attention) size each block's
-# temporary to about 1 MB so it stays in cache
+# row-blocked kernels (attention, and the brute-force and cell-list nearest-neighbor
+# scans) size each block's temporary to about 1 MB so it stays in cache. A
+# nearest-neighbor scan whose whole distance table fits in one such block stays
+# brute force: sorting the points into cells costs more than it saves there.
 _CHUNK_BYTES = 2**20
 _MIN_CHUNK_ROWS = 64
 
@@ -300,14 +302,193 @@ def _sq_dist_rows(a: np.ndarray, b: np.ndarray):
         yield rows, d2
 
 
+def _checked_box(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """Lower corner and per-axis extents of the box around a and b.
+
+    Raises InvalidInputError unless every extent and the squared length of the
+    box diagonal are finite. Every squared distance between the two clouds is
+    then finite too (rounding is monotone), and so is every cell index.
+    """
+    both = np.concatenate((a, b))
+    lo = both.min(axis=0)
+    (hx, hy, hz), (lx, ly, lz) = both.max(axis=0).tolist(), lo.tolist()
+    ext = [hx - lx, hy - ly, hz - lz]  # Python floats: an overflow gives inf, not a warning
+    if not math.isfinite((ext[0] * ext[0] + ext[2] * ext[2]) + ext[1] * ext[1]):
+        raise InvalidInputError("points are too far apart: a squared distance overflows float64")
+    return lo, ext
+
+
+def _cell_width(ext: list[float], n: int) -> float:
+    """Width of cubic cells that hold about one point each if n points fill the box's non-flat axes.
+
+    An axis narrower than a cell counts as flat: a curve gets its length / n,
+    a sheet sqrt(area / n) and a solid (volume / n)^(1/3). Coincident points
+    give 0. Extents enter as ratios to the longest, so nothing overflows.
+    """
+    e = sorted(ext, reverse=True)
+    if not e[0] > 0.0:
+        return 0.0
+    for dim in (3, 2):
+        h = e[0] * (math.prod(x / e[0] for x in e[1:dim]) / n) ** (1.0 / dim)
+        if 0.0 < h <= e[dim - 1]:
+            return h
+    return e[0] / n
+
+
+def _smallest(d2: np.ndarray, ids: np.ndarray | None, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the values and point indices of the m smallest entries of d2, by (value, index).
+
+    ids[i, j] is the point index of entry (i, j); None means it is j. Every
+    row needs at least m finite entries.
+    """
+    if ids is None and m == 1:  # the first-occurrence argmin is the lowest index among ties
+        return d2.min(axis=1)[:, None], np.argmin(d2, axis=1)[:, None]
+    # every entry up to each row's m-th smallest value, ties included; nonzero
+    # lists them row by row
+    kth = d2.min(axis=1) if m == 1 else np.partition(d2, m - 1, axis=1)[:, m - 1]
+    r, c = np.nonzero(d2 <= kth[:, None])
+    val = d2[r, c]
+    ident = c if ids is None else ids[r, c]
+    if r.shape[0] == d2.shape[0] * m:  # no row has a tie past its m-th entry: sort each row's m
+        val, ident = val.reshape(-1, m), ident.reshape(-1, m)
+        if m == 1:
+            return val, ident
+        order = np.lexsort((ident, val), axis=1)
+        return np.take_along_axis(val, order, axis=1), np.take_along_axis(ident, order, axis=1)
+    order = np.lexsort((ident, val, r))
+    pick = order[np.searchsorted(r, np.arange(d2.shape[0]))[:, None] + np.arange(m)]
+    return val[pick], ident[pick]
+
+
+# cell widths tried, in units of _cell_width, before the brute-force scan takes the rest
+_CELL_SCALES = (0.5, 1.0, 2.0, 4.0)
+
+
+def _cell_search(a: np.ndarray, b: np.ndarray, m: int, exclude_self: bool, lo: np.ndarray, ext: list[float],
+                 d: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Fill d and idx for the rows of a that a cell grid certifies; return the other rows.
+
+    b is sorted into cubic cells ("cell lists") over the box of both clouds.
+    A query's candidates are the points of the 3x3x3 block of cells around
+    it, and their squared distances are computed exactly as _sq_dist_rows
+    does. A row is certified when its m-th smallest candidate distance is
+    strictly below the squared distance from the query to the block's
+    boundary, shrunk by a margin that covers the rounding of the cell indices
+    and of d2: then every point outside the block is strictly farther, and
+    the candidates hold the exact answer. The other rows try the next,
+    coarser grid.
+    """
+    nb = b.shape[0]
+    left = np.arange(a.shape[0])
+    h0 = _cell_width(ext, nb)
+    # below this width a squared block distance could leave float64's normal range
+    if not h0 > 2.0**-400:
+        return left
+    for h in (s * h0 for s in _CELL_SCALES):
+        dims = [math.floor(e / h) + 3 for e in ext]  # the cells, plus an empty layer on each side
+        n_cells = math.prod(dims)
+        if not left.size or n_cells > 32 * nb:  # keep the cell table O(len(b))
+            continue
+
+        def cell_of(p):
+            """Cell indices of points p (t >= 0, so truncation is floor) and the points in cell units."""
+            t = (p - lo) / h
+            c = t.astype(np.int64)
+            return c, t, (c[:, 0] + 1) * (dims[1] * dims[2]) + (c[:, 1] + 1) * dims[2] + (c[:, 2] + 1)
+
+        # b sorted by cell; cell c holds sorted points starts[c]:starts[c + 1]
+        cell_b = cell_of(b)[2]
+        order = np.argsort(cell_b, kind="stable")
+        starts = np.zeros(n_cells + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cell_b, minlength=n_cells), out=starts[1:])
+
+        q = a[left]
+        cell, t, lin = cell_of(q)
+        edge = t - cell  # exact
+        edge = np.minimum(1.0 + edge, 2.0 - edge)
+        # distance to the block's boundary in cell units, less rounding: t is within
+        # 2.0001 * 2**-53 * t < 2**-52 * max(dims) of exact, for the query and for a
+        # point across the boundary, and the edge sums add 2**-52
+        gap = np.minimum(np.minimum(edge[:, 0], edge[:, 1]), edge[:, 2]) - 2.0**-50 * max(dims)
+        # the squared bound, clamped to stay finite and shrunk past d2's five roundings
+        bound = np.minimum(gap * h, 2.0**510) ** 2 * (1.0 - 2.0**-40)
+        # the 3x3x3 block as 9 runs of 3 cells adjacent along z, so adjacent in the sorted order
+        lin = lin + (np.arange(-1, 2)[:, None] * (dims[1] * dims[2]) + np.arange(-1, 2) * dims[2]).reshape(9, 1)
+        run0 = starts[lin - 1]
+        run_len = starts[lin + 2] - run0
+        n_cand = run_len.sum(axis=0)
+
+        tried = np.flatnonzero(n_cand >= m + exclude_self)
+        tried = tried[np.argsort(n_cand[tried], kind="stable")]  # blocks of similar width pad less
+        width = int(n_cand[tried[-1]]) if tried.size else 0
+        # sorted coordinates one axis per row, then `width` points at infinity (d2 = inf) as padding
+        bs = np.full((3, nb + width), np.inf)
+        bs[:, :nb] = b[order].T
+        ids = np.concatenate([order, np.full(width, -1)])
+        done = np.zeros(left.shape[0], dtype=bool)
+        # about eight (rows, width) temporaries are live at once
+        for blk in _row_chunks(tried.shape[0], 64 * width, min_rows=1):
+            rows = tried[blk]
+            w = int(n_cand[rows].max())
+            # per row its 9 runs, then a run of padding up to w: the (rows, w) positions in bs
+            size = np.vstack([run_len[:, rows], w - n_cand[rows]]).T.ravel()
+            start = np.vstack([run0[:, rows], np.full(rows.shape[0], nb)]).T.ravel()
+            pos = (np.arange(rows.shape[0] * w) + np.repeat(start - (np.cumsum(size) - size), size)).reshape(-1, w)
+            qr = q[rows]
+            d2 = qr[:, 0, None] - bs[0][pos]
+            d2 *= d2
+            for axis in (2, 1):
+                diff = qr[:, axis, None] - bs[axis][pos]
+                diff *= diff
+                d2 += diff
+            point = ids[pos]
+            if exclude_self:
+                d2[point == left[rows, None]] = np.inf
+            val, near = _smallest(d2, point, m)
+            ok = val[:, -1] < bound[rows]
+            hit = rows[ok]
+            d[left[hit]], idx[left[hit]] = val[ok], near[ok]
+            done[hit] = True
+        left = left[~done]
+    return left
+
+
+def _nearest(a: np.ndarray, b: np.ndarray, m: int, exclude_self: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Exact m nearest rows of b for every row of a: (d2, idx), each (len(a), m).
+
+    Rows come in (squared distance, index) order, so ties break toward the
+    lower index; exclude_self (a is b, m < len(b)) leaves each row's own
+    point out. Squared distances are _sq_dist_rows's bits. A scan larger than
+    one _CHUNK_BYTES block first tries the cell grids of _cell_search; rows
+    they do not certify, and small scans, take the brute-force scan.
+    """
+    lo, ext = _checked_box(a, b)
+    if 8 * a.shape[0] * b.shape[0] <= _CHUNK_BYTES:  # the whole scan is one distance block
+        for _, d2 in _sq_dist_rows(a, b):  # no block when a is empty: that falls through
+            if exclude_self:
+                np.fill_diagonal(d2, np.inf)
+            return _smallest(d2, None, m)
+    d = np.empty((a.shape[0], m))
+    idx = np.empty((a.shape[0], m), dtype=np.int64)
+    left = _cell_search(a, b, m, exclude_self, lo, ext, d, idx)
+    for rows, d2 in _sq_dist_rows(a[left], b):
+        own = left[rows]
+        if exclude_self:
+            d2[np.arange(own.shape[0]), own] = np.inf
+        d[own], idx[own] = _smallest(d2, None, m)
+    return d, idx
+
+
 def knn(cloud: PointCloud, k: int) -> NeighborGraph:
     """Exact k nearest neighbors by Euclidean distance.
 
     The query point itself is excluded while the cloud has more than k points;
     when N <= k every other point appears (nearest first) and the remaining
     slots are padded with the query's own index. Distance ties break toward
-    the lower point index. The (N, k) index table may hold at most MAX_PIXELS
-    entries.
+    the lower point index. The search is the exact nearest-neighbor engine
+    shared with the Chamfer losses: certified cell lists on large clouds, a
+    brute-force scan otherwise. The (N, k) index table may hold at most
+    MAX_PIXELS entries.
     """
     pts = cloud.points
     n = pts.shape[0]
@@ -316,19 +497,9 @@ def knn(cloud: PointCloud, k: int) -> NeighborGraph:
         raise InvalidInputError(f"k must keep the (N, k) neighbor table within {MAX_PIXELS} entries")
     m = min(k, n - 1)  # neighbors that are other points; any slots past m hold the query
     out = np.empty((n, k), dtype=np.int64)
-    for rows, d2 in _sq_dist_rows(pts, pts):
-        own = np.arange(rows.start, rows.stop)
-        d2[own - rows.start, own] = np.inf
-        out[rows, m:] = own[:, None]
-        if m:
-            # every entry up to each row's m-th smallest distance, ties included,
-            # sorted by (row, distance); lexsort is stable, so equal distances keep
-            # nonzero's ascending column order
-            thr = np.partition(d2, m - 1, axis=1)[:, m - 1]
-            r, c = np.nonzero(d2 <= thr[:, None])
-            order = np.lexsort((d2[r, c], r))
-            first = np.searchsorted(r, np.arange(own.shape[0]))
-            out[rows, :m] = c[order][first[:, None] + np.arange(m)]
+    out[:, m:] = np.arange(n)[:, None]
+    if m:
+        out[:, :m] = _nearest(pts, pts, m, exclude_self=True)[1]
     return NeighborGraph(k=k, indices=out)
 
 

@@ -1,10 +1,15 @@
 """Reconstruction losses on point sets: Chamfer variants, the arccosh-compressed
 Chamfer, its staged sum, and the retrieval-style set metrics.
 
-All nearest-neighbor searches are exact brute force with ties broken toward
-the lower index (argmin takes the first occurrence). Gradients, where offered,
-are the true analytic derivatives through the argmin correspondences, which
-are locally constant away from ties.
+All nearest-neighbor searches are exact, with ties broken toward the lower
+index. They run on geometry's nearest-neighbor engine: a scan larger than one
+distance block sorts the searched cloud into cells and takes each query's
+candidates from the 3x3x3 block of cells around it, keeping the answer only
+when it is certified closer than anything outside the block; every other row,
+and every small scan, is a brute-force scan. Distances carry the brute-force
+scan's bits either way. Gradients, where offered, are the true analytic
+derivatives through the argmin correspondences, which are locally constant
+away from ties.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import _as_points, _finite_array, _sq_dist_rows
+from .geometry import _as_points, _finite_array, _nearest
 
 ARC_GRAD_CAP = 1e6
 
@@ -36,19 +41,9 @@ class LossValue:
 
 
 def _nn_sq(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of a: (squared distance to, index of) the nearest row of b.
-
-    Streams row blocks of the exact distance kernel; each block's argmin is
-    the plain first-occurrence argmin, so results are identical to the
-    row-at-a-time loop.
-    """
-    d = np.empty(a.shape[0], dtype=np.float64)
-    idx = np.empty(a.shape[0], dtype=np.int64)
-    for rows, d2 in _sq_dist_rows(a, b):
-        best = np.argmin(d2, axis=1)
-        idx[rows] = best
-        d[rows] = d2.min(axis=1)
-    return d, idx
+    """Per row of a: (squared distance to, index of) the nearest row of b, lowest index on ties."""
+    d, idx = _nearest(a, b, 1)
+    return d.reshape(-1), idx.reshape(-1)
 
 
 def chamfer(x, y, with_grad: bool = False) -> LossValue:

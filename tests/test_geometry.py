@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splatlab import geometry
 from splatlab.errors import InvalidInputError
 from splatlab.geometry import (
     MAX_PIXELS,
@@ -345,6 +346,62 @@ def test_nn_sq_bit_equal_to_bruteforce_with_ties(kind, seed, j, off, n_b):
         d, idx = _nn_sq(x, y)
         want_d, want_idx = brute_nn_sq(x, y)
         assert np.array_equal(d, want_d) and np.array_equal(idx, want_idx)
+
+
+def _lidar(n, seed):
+    return normalize_unit(gen_lidar(n, 8, seed)).points
+
+
+def _engine_case(case):
+    """(queries a, searched b, k) with len(a) * len(b) past one distance block, so the cell grids run."""
+    rng = np.random.default_rng(7)
+    if case == "lidar":
+        return _lidar(2048, 1), _lidar(2048, 2), 8
+    if case == "shifted":  # scaled and moved partly outside b's box
+        return 0.9 * _lidar(2048, 3) + [0.3, 0.0, -0.1], _lidar(2048, 3), 8
+    if case == "faces":
+        # 9^3 points with one corner moved out: box [0, 9]^3, cell widths 0.5, 1, 2 and 4,
+        # so every lattice point and every half-integer query sits on cell faces
+        grid = np.stack(np.meshgrid(*[np.arange(9.0)] * 3, indexing="ij"), -1).reshape(-1, 3)
+        grid[-1] = 9.0
+        assert geometry._cell_width([9.0, 9.0, 9.0], len(grid)) == 1.0
+        return grid[rng.permutation(len(grid))[:600]] + 0.5, grid, 6
+    if case == "coincident":
+        return np.full((600, 3), 0.25), np.full((600, 3), 0.25), 5
+    if case == "collinear":
+        # one axis, so the 1-D cell width; shuffled even spacing, so each query has
+        # two equidistant nearest points and each knn row two equidistant neighbors,
+        # met in cell order, not index order
+        line = np.zeros((1500, 3)) + [0.0, 0.5, -0.25]
+        line[:, 0] = rng.permutation(1500) * 0.25
+        return line + [0.125, 0.0, 0.0], line, 2
+    # "mixed": two far clusters certify; queries halfway between them find empty
+    # blocks at every cell width and fall back to the brute-force scan
+    b = rng.uniform(0.0, 0.1, (2048, 3))
+    b[1024:, 0] += 10.0
+    a = np.concatenate([b[::8] + 0.002, rng.uniform(0.0, 0.1, (256, 3)) + [5.0, 0.0, 0.0]])
+    return a, b, 1
+
+
+@pytest.mark.parametrize("case", ["lidar", "shifted", "faces", "coincident", "collinear", "mixed"])
+def test_nn_sq_and_knn_bit_equal_to_bruteforce_past_the_crossover(case, monkeypatch):
+    """The certified cell search returns the brute-force bits: distances, first-index argmins, knn order."""
+    a, b, k = _engine_case(case)
+    brute_rows = []
+
+    def counting(q, pts):
+        brute_rows.append(len(q))
+        return _sq_dist_rows(q, pts)
+
+    _sq_dist_rows = geometry._sq_dist_rows
+    monkeypatch.setattr(geometry, "_sq_dist_rows", counting)
+    for x, y in ((a, b), (b, a)):
+        d, idx = _nn_sq(x, y)
+        want_d, want_idx = brute_nn_sq(x, y)
+        assert np.array_equal(d, want_d) and np.array_equal(idx, want_idx)
+    if case == "mixed":
+        assert 0 < brute_rows[0] < len(a)
+    assert np.array_equal(knn(PointCloud(a), k).indices, brute_knn(a, k))
 
 
 def test_knn_rejects_an_index_table_past_max_pixels():

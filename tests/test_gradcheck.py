@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from splatlab import geometry
 from splatlab.errors import InvalidInputError
+from splatlab.geometry import PointCloud, knn
 from splatlab.gradcheck import FD_STEP, SUITES, central_fd, err_ratio, run_all, run_suite
 
 
@@ -124,6 +126,21 @@ def test_run_suite_each_passes():
         assert result["passed"], f"{name}: {result['max_err_ratio']}"
         assert result["instances"] == 3
         assert result["max_err_ratio"] <= 1.0
+
+
+def test_small_scans_never_build_cell_grids(monkeypatch):
+    """The gradcheck Chamfer pairs (8 x 7) and EdgeConv's 10-point knn stay on the brute-force scan.
+
+    Their scans are far below one distance block; building a cell grid per
+    call would cost far more than the scan itself.
+    """
+    def no_grid(*args):
+        raise AssertionError("a small scan built a cell grid")
+
+    monkeypatch.setattr(geometry, "_cell_search", no_grid)
+    for name in ("chamfer", "arc_cd", "edgeconv_backward"):
+        assert run_suite(name, instances=2, seed=0)["passed"]
+    knn(PointCloud(np.random.default_rng(0).uniform(-1.0, 1.0, (10, 3))), 3)
 
 
 def test_run_suite_deterministic():

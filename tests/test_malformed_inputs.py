@@ -16,7 +16,7 @@ from splatlab.geometry import (BBox3D, NeighborGraph, PointCloud, front_camera, 
                                normalize_unit)
 from splatlab.gradcheck import run_all, run_suite
 from splatlab.infotheory import channel_entropy, coverage
-from splatlab.losses import arc_cd, chamfer, fscore, total_loss
+from splatlab.losses import arc_cd, chamfer, chamfer_l1, fidelity, fscore, mmd, total_loss
 from splatlab.nnprims import (AttentionParams, MlpParams, counterfactual_ablate, cross_attention, edgeconv_backward,
                               edgeconv_forward, grad_flow_probe)
 from splatlab.splatting import FeatureGrid, SplatConfig, soft_density, splat_backward, splat_forward
@@ -152,3 +152,34 @@ def test_depth_weighting_must_be_a_bool():
             SplatConfig(depth_weighting=bad)
     grid, _ = splat_forward(CLOUD, FEATS, CAM, SplatConfig(depth_weighting=np.bool_(False)))
     assert np.array_equal(grid.data, splat_forward(CLOUD, FEATS, CAM, SplatConfig(depth_weighting=False))[0].data)
+
+
+# every coordinate is finite, but the squared distance from the first point to the last overflows
+FAR_X = np.array([[1e308, 0.0, 0.0], [-1e308, 0.0, 0.0]])
+FAR_Y = np.array([[0.0, 0.0, 0.0], [1e308, 1e308, 0.0]])
+FAR_CALLS = {
+    "knn": lambda: knn(PointCloud(np.concatenate([FAR_X, FAR_Y])), 2),
+    "chamfer": lambda: chamfer(FAR_X, FAR_Y),
+    "chamfer_l1": lambda: chamfer_l1(FAR_X, FAR_Y),
+    "fscore": lambda: fscore(FAR_X, FAR_Y, 0.1),
+    "fidelity": lambda: fidelity(FAR_X, FAR_Y),
+    "mmd": lambda: mmd(FAR_X, [FAR_Y]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAR_CALLS))
+def test_overflowing_squared_distance_is_invalid_input(name):
+    """Raised before any distance is formed: no overflow warning, no inf distance, no inf cast to a cell index."""
+    with pytest.raises(InvalidInputError):
+        FAR_CALLS[name]()
+
+
+def test_largest_safe_box_still_searches():
+    """A box whose squared diagonal is finite passes the overflow check, also past the cell-grid crossover."""
+    far = np.array([[6e153, 0.0, 0.0], [-6e153, 0.0, 0.0]])
+    assert chamfer(far, far).value == 0.0
+    big = normalize_unit(gen_lidar(600, 4, 0)).points * 1e153
+    diff = big[:, None, :] - big[None, :, :]
+    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    np.fill_diagonal(d2, np.inf)
+    assert np.array_equal(knn(PointCloud(big), 3).indices, np.argsort(d2, axis=1, kind="stable")[:, :3])
