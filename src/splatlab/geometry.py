@@ -302,20 +302,20 @@ def _sq_dist_rows(a: np.ndarray, b: np.ndarray):
         yield rows, d2
 
 
-def _checked_box(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list[float]]:
-    """Lower corner and per-axis extents of the box around a and b.
+def _check_span(both: np.ndarray) -> None:
+    """Raise InvalidInputError unless the box around the points has finite extents and squared diagonal.
 
-    Raises InvalidInputError unless every extent and the squared length of the
-    box diagonal are finite. Every squared distance between the two clouds is
-    then finite too (rounding is monotone), and so is every cell index.
+    Every squared distance between the points is then finite too (rounding is
+    monotone), and so is every cell index. Coordinates within +-2**509 pass
+    on one reduction: every extent is then at most 2**510, and the three
+    squares sum below 2**1022.
     """
-    both = np.concatenate((a, b))
-    lo = both.min(axis=0)
-    (hx, hy, hz), (lx, ly, lz) = both.max(axis=0).tolist(), lo.tolist()
+    if np.abs(both).max() <= 2.0**509:
+        return
+    (hx, hy, hz), (lx, ly, lz) = both.max(axis=0).tolist(), both.min(axis=0).tolist()
     ext = [hx - lx, hy - ly, hz - lz]  # Python floats: an overflow gives inf, not a warning
     if not math.isfinite((ext[0] * ext[0] + ext[2] * ext[2]) + ext[1] * ext[1]):
         raise InvalidInputError("points are too far apart: a squared distance overflows float64")
-    return lo, ext
 
 
 def _cell_width(ext: list[float], n: int) -> float:
@@ -364,11 +364,12 @@ def _smallest(d2: np.ndarray, ids: np.ndarray | None, m: int) -> tuple[np.ndarra
 _CELL_SCALES = (0.5, 1.0, 2.0, 4.0)
 
 
-def _cell_search(a: np.ndarray, b: np.ndarray, m: int, exclude_self: bool, lo: np.ndarray, ext: list[float],
-                 d: np.ndarray, idx: np.ndarray) -> np.ndarray:
+def _cell_search(a: np.ndarray, b: np.ndarray, m: int, exclude_self: bool, both: np.ndarray, d: np.ndarray,
+                 idx: np.ndarray) -> np.ndarray:
     """Fill d and idx for the rows of a that a cell grid certifies; return the other rows.
 
-    b is sorted into cubic cells ("cell lists") over the box of both clouds.
+    b is sorted into cubic cells ("cell lists") over the box of both clouds
+    (both: a and b stacked, already through _check_span).
     A query's candidates are the points of the 3x3x3 block of cells around
     it, and their squared distances are computed exactly as _sq_dist_rows
     does. A row is certified when its m-th smallest candidate distance is
@@ -380,6 +381,8 @@ def _cell_search(a: np.ndarray, b: np.ndarray, m: int, exclude_self: bool, lo: n
     """
     nb = b.shape[0]
     left = np.arange(a.shape[0])
+    lo = both.min(axis=0)
+    ext = (both.max(axis=0) - lo).tolist()
     h0 = _cell_width(ext, nb)
     # below this width a squared block distance could leave float64's normal range
     if not h0 > 2.0**-400:
@@ -462,7 +465,8 @@ def _nearest(a: np.ndarray, b: np.ndarray, m: int, exclude_self: bool = False) -
     one _CHUNK_BYTES block first tries the cell grids of _cell_search; rows
     they do not certify, and small scans, take the brute-force scan.
     """
-    lo, ext = _checked_box(a, b)
+    both = np.concatenate((a, b))
+    _check_span(both)
     if 8 * a.shape[0] * b.shape[0] <= _CHUNK_BYTES:  # the whole scan is one distance block
         for _, d2 in _sq_dist_rows(a, b):  # no block when a is empty: that falls through
             if exclude_self:
@@ -470,7 +474,7 @@ def _nearest(a: np.ndarray, b: np.ndarray, m: int, exclude_self: bool = False) -
             return _smallest(d2, None, m)
     d = np.empty((a.shape[0], m))
     idx = np.empty((a.shape[0], m), dtype=np.int64)
-    left = _cell_search(a, b, m, exclude_self, lo, ext, d, idx)
+    left = _cell_search(a, b, m, exclude_self, both, d, idx)
     for rows, d2 in _sq_dist_rows(a[left], b):
         own = left[rows]
         if exclude_self:

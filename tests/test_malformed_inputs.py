@@ -174,6 +174,13 @@ def test_overflowing_squared_distance_is_invalid_input(name):
         FAR_CALLS[name]()
 
 
+def test_overflowing_span_of_moderate_coordinates_is_invalid_input():
+    """Coordinates of 1e154 are far from float64's limit, but their squared span, 4e308, is past it."""
+    near = np.array([[1e154, 0.0, 0.0], [-1e154, 0.0, 0.0]])
+    with pytest.raises(InvalidInputError):
+        chamfer(near, near)
+
+
 def test_largest_safe_box_still_searches():
     """A box whose squared diagonal is finite passes the overflow check, also past the cell-grid crossover."""
     far = np.array([[6e153, 0.0, 0.0], [-6e153, 0.0, 0.0]])
