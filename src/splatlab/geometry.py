@@ -282,24 +282,32 @@ def _row_chunks(n_rows: int, bytes_per_row: int, min_rows: int = _MIN_CHUNK_ROWS
         yield slice(start, min(n_rows, start + step))
 
 
-def _sq_dist_rows(a: np.ndarray, b: np.ndarray):
-    """Yield (rows, d2) per row block of a, d2[i, j] the squared distance from a[rows][i] to b[j].
+def _sq_dist(q: np.ndarray, coord) -> np.ndarray:
+    """Squared distances from the rows of q to points whose coordinates on each axis are coord(axis).
 
-    The sum order (dx*dx + dz*dz) + dy*dy is the one numpy's
-    einsum("ijk,ijk->ij") takes over the three coordinates, so the entries
-    are bit-equal to it while built only from correctly rounded elementwise
-    ops. Each block holds about _CHUNK_BYTES of distances.
+    coord(axis) broadcasts against q[:, axis, None]; it is called once per
+    axis, so a gather in it holds one axis at a time. The sum order
+    (dx*dx + dz*dz) + dy*dy is einsum("ijk,ijk->ij")'s over the three
+    coordinates, so the entries are bit-equal to it while built only from
+    correctly rounded elementwise ops.
+    """
+    d2 = q[:, 0, None] - coord(0)
+    d2 *= d2
+    for axis in (2, 1):
+        t = q[:, axis, None] - coord(axis)
+        t *= t
+        d2 += t
+    return d2
+
+
+def _sq_dist_rows(a: np.ndarray, b: np.ndarray):
+    """Yield (rows, d2) per row block of a, d2[i, j] = _sq_dist from a[rows][i] to b[j].
+
+    Each block holds about _CHUNK_BYTES of distances.
     """
     bt = b.T.copy()
     for rows in _row_chunks(a.shape[0], 8 * b.shape[0]):
-        ar = a[rows]
-        d2 = ar[:, 0, None] - bt[0]
-        d2 *= d2
-        for axis in (2, 1):
-            t = ar[:, axis, None] - bt[axis]
-            t *= t
-            d2 += t
-        yield rows, d2
+        yield rows, _sq_dist(a[rows], bt.__getitem__)
 
 
 def _check_span(both: np.ndarray) -> None:
@@ -312,9 +320,9 @@ def _check_span(both: np.ndarray) -> None:
     """
     if np.abs(both).max() <= 2.0**509:
         return
-    (hx, hy, hz), (lx, ly, lz) = both.max(axis=0).tolist(), both.min(axis=0).tolist()
-    ext = [hx - lx, hy - ly, hz - lz]  # Python floats: an overflow gives inf, not a warning
-    if not math.isfinite((ext[0] * ext[0] + ext[2] * ext[2]) + ext[1] * ext[1]):
+    with np.errstate(over="ignore"):  # an overflow gives inf, which is the verdict
+        diag = _sq_dist(both.max(axis=0)[None], both.min(axis=0).__getitem__)
+    if not np.isfinite(diag[0, 0]):
         raise InvalidInputError("points are too far apart: a squared distance overflows float64")
 
 
@@ -371,13 +379,12 @@ def _cell_search(a: np.ndarray, b: np.ndarray, m: int, exclude_self: bool, both:
     b is sorted into cubic cells ("cell lists") over the box of both clouds
     (both: a and b stacked, already through _check_span).
     A query's candidates are the points of the 3x3x3 block of cells around
-    it, and their squared distances are computed exactly as _sq_dist_rows
-    does. A row is certified when its m-th smallest candidate distance is
-    strictly below the squared distance from the query to the block's
-    boundary, shrunk by a margin that covers the rounding of the cell indices
-    and of d2: then every point outside the block is strictly farther, and
-    the candidates hold the exact answer. The other rows try the next,
-    coarser grid.
+    it, and their squared distances are _sq_dist's. A row is certified when
+    its m-th smallest candidate distance is strictly below the squared
+    distance from the query to the block's boundary, shrunk by a margin that
+    covers the rounding of the cell indices and of d2: then every point
+    outside the block is strictly farther, and the candidates hold the exact
+    answer. The other rows try the next, coarser grid.
     """
     nb = b.shape[0]
     left = np.arange(a.shape[0])
@@ -437,13 +444,7 @@ def _cell_search(a: np.ndarray, b: np.ndarray, m: int, exclude_self: bool, both:
             size = np.vstack([run_len[:, rows], w - n_cand[rows]]).T.ravel()
             start = np.vstack([run0[:, rows], np.full(rows.shape[0], nb)]).T.ravel()
             pos = (np.arange(rows.shape[0] * w) + np.repeat(start - (np.cumsum(size) - size), size)).reshape(-1, w)
-            qr = q[rows]
-            d2 = qr[:, 0, None] - bs[0][pos]
-            d2 *= d2
-            for axis in (2, 1):
-                diff = qr[:, axis, None] - bs[axis][pos]
-                diff *= diff
-                d2 += diff
+            d2 = _sq_dist(q[rows], lambda axis: bs[axis][pos])
             point = ids[pos]
             if exclude_self:
                 d2[point == left[rows, None]] = np.inf
@@ -461,7 +462,7 @@ def _nearest(a: np.ndarray, b: np.ndarray, m: int, exclude_self: bool = False) -
 
     Rows come in (squared distance, index) order, so ties break toward the
     lower index; exclude_self (a is b, m < len(b)) leaves each row's own
-    point out. Squared distances are _sq_dist_rows's bits. A scan larger than
+    point out. Squared distances are _sq_dist's bits. A scan larger than
     one _CHUNK_BYTES block first tries the cell grids of _cell_search; rows
     they do not certify, and small scans, take the brute-force scan.
     """

@@ -3,7 +3,8 @@
 Each suite draws seeded random instances, rejects tie or singularity
 configurations at construction time (pixel-boundary proximity, argmax or
 argmin near-ties, near-zero Chamfer), and compares analytic gradients against
-central finite differences. Agreement is scored as
+central finite differences. Agreement is scored by nnprims.err_ratio, shared
+with the gradient flow probe,
 
     ratio = |analytic - fd| / (atol + rtol * |fd|),  rtol = 1e-5, atol = 1e-9,
 
@@ -29,23 +30,14 @@ from .nnprims import (
     cross_attention,
     edgeconv_backward,
     edgeconv_forward,
+    err_ratio,
 )
 from .splatting import SplatConfig, _stepped_losses, splat_backward, splat_forward
 
-RTOL = 1e-5
-ATOL = 1e-9
 FD_STEP = 1e-5
 PIXEL_MARGIN = 1e-3
 # stepped copies per fn call; bounds fn's temporaries (a 512-copy EdgeConv stack holds > 10 MB)
 _FD_BLOCK = 32
-
-
-def err_ratio(analytic: np.ndarray, fd: np.ndarray) -> float:
-    """Largest per-entry ratio; inf when any entry is not finite, so a NaN cannot pass."""
-    a = np.asarray(analytic, dtype=np.float64).ravel()
-    f = np.asarray(fd, dtype=np.float64).ravel()
-    ratios = np.abs(a - f) / (ATOL + RTOL * np.abs(f))
-    return float(ratios.max(initial=0.0)) if np.all(np.isfinite(ratios)) else np.inf
 
 
 def central_fd(fn, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
@@ -96,8 +88,8 @@ def _splat_instance(seed: int):
     while True:
         pts = rng.uniform(-0.8, 0.8, (n, 3))
         centroid = pts.mean(axis=0)
-        # moderate focal and sigma keep third derivatives small enough that
-        # central differences at h=1e-5 resolve every component to < 1e-5 rel
+        # moderate focal and sigma keep the O(h^2) error of central differences at h=1e-5 inside the
+        # gate on nearly every instance; a tiny component can still miss it (seed 810065286, see tests)
         cam = CameraModel(
             focal=(16.0, 14.0),
             principal=(10.0, 10.0),

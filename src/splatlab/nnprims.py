@@ -26,6 +26,17 @@ from .splatting import SplatConfig, _stepped_losses, splat_backward, splat_forwa
 
 EDGECONV_HIDDEN = 32
 PROBE_STEP_PX = 1e-4
+# analytic and finite-difference gradients agree when every err_ratio entry is <= 1
+RTOL = 1e-5
+ATOL = 1e-9
+
+
+def err_ratio(analytic: np.ndarray, fd: np.ndarray) -> float:
+    """Largest |analytic - fd| / (ATOL + RTOL |fd|) over the entries; inf if one is not finite, so NaN cannot pass."""
+    a = np.asarray(analytic, dtype=np.float64).ravel()
+    f = np.asarray(fd, dtype=np.float64).ravel()
+    ratios = np.abs(a - f) / (ATOL + RTOL * np.abs(f))
+    return float(ratios.max(initial=0.0)) if np.all(np.isfinite(ratios)) else np.inf
 
 
 def _uniform_init(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
@@ -290,8 +301,8 @@ def grad_flow_probe(cloud: PointCloud, cam: CameraModel, cfg: SplatConfig, mode:
     (the z-buffer keeps the lowest (z, index)); every unflagged FD entry must
     be exactly zero.
     soft: additionally reports the analytic splat_backward gradient; the
-    summary's max_err_ratio compares FD and analytic on window-stable
-    coordinates as |a - fd| / (atol + rtol |fd|) with rtol 1e-5, atol 1e-9.
+    summary's max_err_ratio is err_ratio of analytic against FD on the
+    window-stable coordinates.
     """
     if mode not in ("hard", "soft"):
         raise InvalidInputError("mode must be 'hard' or 'soft'")
@@ -341,9 +352,7 @@ def grad_flow_probe(cloud: PointCloud, cam: CameraModel, cfg: SplatConfig, mode:
         norms = np.linalg.norm(analytic, axis=1)
         summary["median_grad_norm"] = float(np.median(norms))
         summary["max_grad_norm"] = float(norms.max())
-        err = np.abs(analytic[stable] - fd[stable])
-        ratio = err / (1e-9 + 1e-5 * np.abs(fd[stable]))
-        summary["max_err_ratio"] = float(ratio.max()) if stable.any() else 0.0
+        summary["max_err_ratio"] = err_ratio(analytic[stable], fd[stable])
     return ProbeReport(
         mode=mode,
         loss=loss0,

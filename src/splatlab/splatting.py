@@ -17,7 +17,8 @@ bit-for-bit identical.
 Both passes stream the valid points in blocks (``_contribution_blocks``) and
 keep no per-contribution list: the backward recomputes each block's window
 weights from u, z and the config, through the same arrays and the same
-``np.exp`` as the forward, so they are the forward's bit for bit. Working
+``np.exp`` as the forward, so they are the forward's bit for bit, and reads
+each point's run of cells and each cell's offset from u off the block. Working
 memory is O(N + H*W*C) plus about 1 MB of window cells per block.
 """
 
@@ -141,10 +142,11 @@ def _window_bounds(u: np.ndarray, reach: float, h: int, w: int) -> tuple[np.ndar
 def _window_cells(u: np.ndarray, reach: float, h: int, w: int) -> tuple[np.ndarray, ...]:
     """Every grid cell of every non-empty window around the rows of u, flattened.
 
-    Returns (point, pixel, dx, dy) in (point, window row, window column) order:
-    the row of u, the row-major pixel id and the offsets (cell center - u).
-    The windows are built as one dense (n, rows, cols) block sized by the
-    widest window and masked to each window's own extent.
+    Returns (keep, count, pixel, dx, dy): the ascending rows of u with a
+    non-empty window and their cell counts, then per cell, in (point, window
+    row, window column) order, the row-major pixel id and the offsets (cell
+    center - u). The windows are built as one dense (n, rows, cols) block
+    sized by the widest window and masked to each window's own extent.
     """
     lo, hi = _window_bounds(u, reach, h, w)
     # dropping empty windows first keeps a finite but huge u from being cast
@@ -152,15 +154,15 @@ def _window_cells(u: np.ndarray, reach: float, h: int, w: int) -> tuple[np.ndarr
     u = u[keep]
     lo = lo[keep].astype(np.int64)
     hi = hi[keep].astype(np.int64)
+    count = (hi - lo + 1).prod(axis=1)
     width, height = (hi - lo).max(axis=0, initial=0) + 1
     cols = lo[:, 0:1] + np.arange(width)
     rows = lo[:, 1:2] + np.arange(height)
     inside = (rows <= hi[:, 1:2])[:, :, None] & (cols <= hi[:, 0:1])[:, None, :]
-    point = np.broadcast_to(keep[:, None, None], inside.shape)[inside]
     pixel = (rows[:, :, None] * w + cols[:, None, :])[inside]
     dx = np.broadcast_to(((cols + 0.5) - u[:, 0:1])[:, None, :], inside.shape)[inside]
     dy = np.broadcast_to(((rows + 0.5) - u[:, 1:2])[:, :, None], inside.shape)[inside]
-    return point, pixel, dx, dy
+    return keep, count, pixel, dx, dy
 
 
 def _window_chunks(n_rows: int, reach: float, h: int, w: int):
@@ -176,19 +178,19 @@ def _window_chunks(n_rows: int, reach: float, h: int, w: int):
     return _row_chunks(n_rows, 8 * math.floor(min(span, h)) * math.floor(min(span, w)), min_rows=1)
 
 
-def _contributions(u: np.ndarray, z: np.ndarray, valid: np.ndarray, cfg: SplatConfig,
+def _contributions(u: np.ndarray, z: np.ndarray, vis: np.ndarray, cfg: SplatConfig,
                    h: int, w: int) -> tuple[np.ndarray, ...]:
-    """(point, pixel, weight) of every window cell of every valid row of u, in point order.
+    """(pts, count, pixel, weight, dx, dy): _window_cells of the ascending rows vis of u, with weights.
 
-    ``valid`` is a boolean mask over the rows of u or their ascending indices.
+    pts are the rows whose window meets the grid; np.repeat(pts, count) is each cell's point.
     """
-    vis = np.flatnonzero(valid) if valid.dtype == bool else valid
-    k, pixel, dx, dy = _window_cells(u[vis], cfg.radius, h, w)
+    keep, count, pixel, dx, dy = _window_cells(u[vis], cfg.radius, h, w)
+    pts = vis[keep]
     inv_two_sigma2 = 1.0 / (2.0 * cfg.sigma * cfg.sigma)
     weight = np.exp(-(dy ** 2 + dx ** 2) * inv_two_sigma2)
     if cfg.depth_weighting:
-        weight *= (1.0 / (z[vis] + cfg.eps_depth))[k]
-    return vis[k], pixel, weight
+        weight *= np.repeat(1.0 / (z[pts] + cfg.eps_depth), count)
+    return pts, count, pixel, weight, dx, dy
 
 
 def _contribution_blocks(u: np.ndarray, z: np.ndarray, valid: np.ndarray, cfg: SplatConfig, h: int, w: int):
@@ -246,10 +248,10 @@ def splat_forward(
     # every pixel sums its contributions in list order, i.e. ascending point index
     den = np.zeros(h * w, dtype=np.float64)
     if sequential:
-        point, pixel, weight = _contributions(u, z, valid, cfg, h, w)
-        n_contrib = point.size
+        pts, count, pixel, weight, _, _ = _contributions(u, z, np.flatnonzero(valid), cfg, h, w)
+        n_contrib = pixel.size
         num = np.zeros((h * w, c), dtype=np.float64)
-        for p, pix, wgt in zip(point, pixel, weight):
+        for p, pix, wgt in zip(np.repeat(pts, count), pixel, weight):
             den[pix] += wgt
             for ch in range(c):
                 num[pix, ch] += wgt * feats[p, ch]
@@ -257,11 +259,11 @@ def splat_forward(
         # np.add.at adds each block in list order, as one bincount over the whole list would
         n_contrib = 0
         num = np.zeros((c, h * w), dtype=np.float64)
-        for point, pixel, weight in _contribution_blocks(u, z, valid, cfg, h, w):
-            n_contrib += point.size
+        for pts, count, pixel, weight, _, _ in _contribution_blocks(u, z, valid, cfg, h, w):
+            n_contrib += pixel.size
             np.add.at(den, pixel, weight)
             for ch in range(c):
-                np.add.at(num[ch], pixel, weight * feats[:, ch][point])
+                np.add.at(num[ch], pixel, weight * np.repeat(feats[pts, ch], count))
         num = num.T
     den = den.reshape(h, w)
 
@@ -305,20 +307,14 @@ def splat_backward(
     g_flat = g.reshape(-1, c)
     value = aux.value.reshape(-1, c)
     inv_den_grid = 1.0 / (aux.weight_sum.reshape(-1) + cfg.eps_norm)
-    centers = np.arange(h * w)
-    center_x = (centers % w) + 0.5
-    center_y = (centers // w) + 0.5
     inv_sigma2 = 1.0 / (cfg.sigma * cfg.sigma)
     # np.sum over the point-major list sums as a pairwise tree, so the d_sigma
     # terms of every block go into one buffer: 8 bytes per contribution
     sigma_terms = np.empty(aux.n_contrib, dtype=np.float64) if with_sigma else None
     at = 0
 
-    for k, pixel, wgt in _contribution_blocks(aux.u, aux.z, aux.valid, cfg, h, w):
-        # contributions come in runs of one point; per-point values are repeated over their run
-        starts = np.flatnonzero(np.diff(k, prepend=-1) != 0)
-        pts = k[starts]
-        counts = np.diff(starts, append=k.size)
+    for pts, counts, pixel, wgt, ex, ey in _contribution_blocks(aux.u, aux.z, aux.valid, cfg, h, w):
+        # each point's contributions are one run; per-point values are repeated over it
         run = np.repeat(np.arange(pts.size), counts)
         g_pix = np.take(g_flat, pixel, axis=0)
         inv_den = inv_den_grid[pixel]
@@ -337,17 +333,15 @@ def splat_backward(
         # drop the (m, C) rows before the kernel chain allocates, which lowers peak memory
         del g_pix, diff
 
-        # kernel chain: dw/du = w (q - u) / sigma^2, dw/dz = -w / (z + eps_depth)
-        ex = center_x[pixel] - np.repeat(aux.u[pts, 0], counts)
-        ey = center_y[pixel] - np.repeat(aux.u[pts, 1], counts)
+        # kernel chain: dw/du = w (q - u) / sigma^2, dw/dz = -w / (z + eps_depth), with (ex, ey) = q - u
         s = d_w * wgt
         d_u[pts, 0] = per_point(s * ex * inv_sigma2)
         d_u[pts, 1] = per_point(s * ey * inv_sigma2)
         if cfg.depth_weighting:
             d_z[pts] = per_point(-s / np.repeat(aux.z[pts] + cfg.eps_depth, counts))
         if with_sigma:
-            sigma_terms[at : at + k.size] = s * (ex * ex + ey * ey)
-            at += k.size
+            sigma_terms[at : at + pixel.size] = s * (ex * ex + ey * ey)
+            at += pixel.size
 
     d_sigma = None
     if with_sigma:
@@ -429,8 +423,9 @@ def _stepped_losses(cloud: PointCloud, feats: np.ndarray, cam: CameraModel, cfg:
         _, aux = splat_forward(cloud, feats, cam, cfg)
         u0, base = aux.u, aux.value.reshape(hw, c)
         # the forward's blocks, so the base weights are its bits
-        k, pixel, weight = (np.concatenate(parts) for parts in
-                            zip(*_contribution_blocks(u0, aux.z, aux.valid, cfg, h, w)))
+        blocks = _contribution_blocks(u0, aux.z, aux.valid, cfg, h, w)
+        pts, count, pixel, weight = (np.concatenate(parts) for parts in zip(*(b[:4] for b in blocks)))
+        k = np.repeat(pts, count)
         # contributions indexed pixel-major; within a pixel, point order
         by_pixel = np.argsort(pixel, kind="stable")
         pm_point, pm_weight = k[by_pixel], weight[by_pixel]
@@ -446,7 +441,8 @@ def _stepped_losses(cloud: PointCloud, feats: np.ndarray, cam: CameraModel, cfg:
 
         def patch(j):
             o = owner[j]
-            new_copy, new_pix, new_weight = _contributions(us[j], zs[j], vs[j], cfg, h, w)
+            rows, n_new, new_pix, new_weight, _, _ = _contributions(us[j], zs[j], np.flatnonzero(vs[j]), cfg, h, w)
+            new_copy = np.repeat(rows, n_new)
             old_copy = np.repeat(np.arange(len(o)), run_count[j])
             old_pix = pixel[_ranges(run_start[j], run_count[j])]
             new_keys = new_copy * hw + new_pix
@@ -647,6 +643,6 @@ def support_measure(cloud: PointCloud, cam: CameraModel, cfg: SplatConfig, mode:
         reach = 3.0 * cfg.sigma
         uv = u[valid]
         for rows in _window_chunks(len(uv), reach, h, w):
-            _, pixel, dx, dy = _window_cells(uv[rows], reach, h, w)
+            _, _, pixel, dx, dy = _window_cells(uv[rows], reach, h, w)
             mask[pixel[dy ** 2 + dx ** 2 <= reach * reach]] = True
     return float(mask.sum())

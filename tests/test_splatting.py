@@ -83,7 +83,8 @@ def gather_backward(aux, cloud, feats, upstream):
     c = feats.shape[1]
     g = np.asarray(upstream, dtype=np.float64)
     n = len(cloud)
-    k, pixel, wgt = _contributions(aux.u, aux.z, aux.valid, cfg, h, w)
+    pts, count, pixel, wgt, _, _ = _contributions(aux.u, aux.z, np.flatnonzero(aux.valid), cfg, h, w)
+    k = np.repeat(pts, count)
     g_pix = g.reshape(-1, c)[pixel]
     inv_den = 1.0 / (aux.weight_sum.reshape(-1)[pixel] + cfg.eps_norm)
 
@@ -226,8 +227,8 @@ def test_sequential_equals_parallel_bitwise(seed, n, h, w, sigma, radius, depth_
     pairs = [(k, pix) for k in np.flatnonzero(valid) for pix in range(h * w)
              if abs(cols[pix] + 0.5 - u[k, 0]) <= radius and abs(rows[pix] + 0.5 - u[k, 1]) <= radius]
     expected = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    point, pixel, _ = _contributions(par_aux.u, par_aux.z, par_aux.valid, cfg, h, w)
-    assert np.array_equal(point, expected[:, 0])
+    pts, count, pixel, *_ = _contributions(par_aux.u, par_aux.z, np.flatnonzero(par_aux.valid), cfg, h, w)
+    assert np.array_equal(np.repeat(pts, count), expected[:, 0])
     assert np.array_equal(pixel, expected[:, 1])
     assert par_aux.n_contrib == len(pairs)
     assert par.empty == (len(pairs) == 0)
@@ -278,7 +279,8 @@ def test_blocked_splat_matches_whole_list_bitwise(n, h, w, radius):
     grid, aux = splat_forward(cloud, feats, cam, cfg)
     assert len(list(_contribution_blocks(aux.u, aux.z, aux.valid, cfg, h, w))) >= 3
 
-    point, pixel, weight = _contributions(aux.u, aux.z, aux.valid, cfg, h, w)
+    pts, count, pixel, weight, _, _ = _contributions(aux.u, aux.z, np.flatnonzero(aux.valid), cfg, h, w)
+    point = np.repeat(pts, count)
     assert aux.n_contrib == point.size
     den = np.bincount(pixel, weights=weight, minlength=h * w).reshape(h, w)
     num = np.stack([np.bincount(pixel, weights=weight * feats[:, ch][point], minlength=h * w)
